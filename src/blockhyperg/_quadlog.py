@@ -90,3 +90,39 @@ def adaptive_log_integral(
         f"1-D quadrature did not reach rtol={rtol:g} (err={err:g}, "
         f"panels={len(edges) - 1})"
     )
+
+
+def peak_bracket(logf, x_c: float) -> tuple[float, float, float]:
+    """Interval outside which exp(logf) is below e^-60 of its peak, for a
+    unimodal log-integrand, and the highest point of a unit-step scan as a
+    seed point for the panels.
+
+    The scan covers x_c +- 30 and moves by 30 while its highest point is at
+    an edge. A NaN value counts as not negligible. Raises NoConvergence
+    when 40 moves do not find the peak, or 40 steps of 20 do not reach a
+    negligible end.
+    """
+    for _ in range(40):
+        grid = np.linspace(x_c - 30.0, x_c + 30.0, 61)
+        vals = logf(grid)
+        i_pk = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
+        if 0 < i_pk < 60:
+            break
+        x_c += 30.0 if i_pk == 60 else -30.0
+    else:
+        raise NoConvergence(f"integrand still rising at x = {x_c:g}")
+    x_pk, f_pk = float(grid[i_pk]), float(vals[i_pk])
+    # the scan's last negligible points on each side, where it has them
+    low = np.flatnonzero(vals[:i_pk] < f_pk - 60.0)
+    high = np.flatnonzero(vals[i_pk:] < f_pk - 60.0)
+    lo = float(grid[low[-1]]) if low.size else x_c - 30.0
+    hi = float(grid[i_pk + high[0]]) if high.size else x_c + 30.0
+    for _ in range(40):
+        if not float(logf(np.array([lo]))[0]) < f_pk - 60.0:
+            lo -= 20.0
+        elif not float(logf(np.array([hi]))[0]) < f_pk - 60.0:
+            hi += 20.0
+        else:
+            return lo, hi, x_pk
+    raise NoConvergence(
+        f"integrand still above its peak - 60 at x in [{lo:g}, {hi:g}]")

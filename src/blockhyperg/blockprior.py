@@ -9,8 +9,10 @@ with b_i = (a+p_i)/2 - 2 and m = (n-1)/2. Integration is carried out in
 s_i = 1 - t_i coordinates (see integrate.py) so the coupling factor is
 evaluated as delta + sum rho_i s_i with delta = 1 - sum R_i^2 taken straight
 from the residual sum of squares; that keeps the extreme near-unit-R^2
-regimes exact. A Laplace approximation of the same integral is provided for
-large n, with the small-a single-predictor adjustment.
+regimes exact. For every k the integrals go through the gamma-mixture 1-D
+reduction (integrate.block_integrals_gamma1d). A Laplace approximation of
+the same integral is provided for large n, with the small-a
+single-predictor adjustment.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate
-from ._quadlog import adaptive_log_integral
+from ._quadlog import adaptive_log_integral, peak_bracket
 from .design import BlockPartition, FitSummary
 from .errors import (DomainError, IntegralDiverges, NoConvergence,
                      NotBlockOrthogonal, OutOfInterior)
 from .hyperg import HyperGPrior
-from .special import log_lower_inc_gamma
+from .special import log_inc_gamma_ratio
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ def _limit_posterior(prior: BlockHyperGPrior, rho: np.ndarray,
     p_i = np.asarray(prior.partition.sizes, dtype=float)
     t_mean = np.where(rho > 0.0, 1.0, 2.0 / (prior.a + p_i))
     return ShrinkagePosterior(t_mean=t_mean, log_bf_null=math.inf,
-                              method="quadrature", error_estimate=0.0)
+                              method="limit", error_estimate=0.0)
 
 
 def _block_posterior(prior: BlockHyperGPrior, fit: FitSummary, *,
@@ -131,16 +133,7 @@ def _block_posterior(prior: BlockHyperGPrior, fit: FitSummary, *,
             raise IntegralDiverges(
                 "unit R^2 at the exact propriety boundary "
                 f"n = k(a-2)+p+1 = {thresh}")
-    if k <= 3:
-        res = integrate.block_integrals_quadrature(bpow, rho, delta, m,
-                                                   budget=budget, rtol=rtol)
-    else:
-        res = integrate.block_integrals_qmc(bpow, rho, delta, m, seed=seed,
-                                            budget=budget)
-        if res.error > 1e-4:
-            raise NoConvergence(
-                f"monte-carlo error estimate {res.error:.2e} above 1e-4 "
-                "after budget")
+    res = integrate.block_integrals_gamma1d(bpow, rho, delta, m, rtol=rtol)
     t_mean = res.t_mean
     floor = 2.0 / (a + np.asarray(prior.partition.sizes, dtype=float))
     if np.any(t_mean < floor - 1e-6) or np.any(t_mean > 1.0):
@@ -162,7 +155,8 @@ def bf_block_hyper_g(prior: BlockHyperGPrior, fit: FitSummary, *,
 
     method "auto" takes the Laplace route when the gate (n >= 200, interior
     maximizer) opens and full integration otherwise; "integrate" forces
-    quadrature/monte-carlo, "laplace" forces the approximation.
+    the gamma-mixture 1-D route, "laplace" forces the approximation. The
+    route reads neither seed nor budget.
     """
     return _block_posterior(prior, fit, seed=seed, budget=budget,
                             method=method, rtol=rtol)
@@ -173,7 +167,7 @@ def block_shrinkage(prior: BlockHyperGPrior, fit: FitSummary, *,
                     budget: int = integrate.DEFAULT_BUDGET,
                     method: str = "auto", rtol: float = 1e-7,
                     ) -> ShrinkagePosterior:
-    """E[t_i | y] per block, sharing sample points with the BF integral."""
+    """E[t_i | y] per block, from the same integrals as the BF."""
     return _block_posterior(prior, fit, seed=seed, budget=budget,
                             method=method, rtol=rtol)
 
@@ -199,7 +193,7 @@ def laplace_t_star(b: np.ndarray, r: np.ndarray, m: float) -> LaplacePoint:
 
     with the closed-form Hessian at t*. Requires every b_i > 0, sum r < 1,
     m > sum b; raises OutOfInterior when any t_i* leaves (0,1) so callers
-    can fall back to quadrature.
+    can fall back to full integration.
     """
     b = np.asarray(b, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -238,7 +232,7 @@ def _laplace_log_integral(a: float, p_i: np.ndarray, r: np.ndarray,
     For 2 < a < 3 any p_i = 1 block has b_i < 0; the integral is rewritten
     with p_i* = p_i + 1 and an extra (1-t_i)^(-1/2) factor evaluated at the
     adjusted maximizer. a = 3 with p_i = 1 gives b_i = 0 exactly and is
-    refused (quadrature handles it).
+    refused (full integration handles it).
     """
     p_i = np.asarray(p_i, dtype=float)
     b = 0.5 * (a + p_i) - 2.0
@@ -248,7 +242,7 @@ def _laplace_log_integral(a: float, p_i: np.ndarray, r: np.ndarray,
         if np.any(single) and a == 3.0:
             raise OutOfInterior(
                 "a = 3 with a single-predictor block (b_i = 0): no interior "
-                "Laplace point, use quadrature")
+                "Laplace point, use full integration")
         adj = single & (b <= 0.0)
         b = np.where(adj, 0.5 * (a + p_i + 1.0) - 2.0, b)
     point = laplace_t_star(b, r, m)
@@ -374,25 +368,32 @@ class Sigma2Density:
             raise DomainError("requires a positive residual sum of squares")
         if np.any(self.q <= 0.0) or np.any(self.nu <= 0.0):
             raise DomainError("incomplete gamma factors need q_j, nu_j > 0")
-        self._lig = np.vectorize(log_lower_inc_gamma)
         a_eff = max(self.alpha + float(self.nu.sum()), self.alpha, 1.0)
         self._x_c = math.log((self.rss + float(self.q.sum()))
                              / (2.0 * a_eff))
-        self._log_norm = 0.0
-        self._log_norm, _ = adaptive_log_integral(
-            self._log_unnorm_x, self._x_c - 60.0, self._x_c + 90.0,
-            rtol=1e-10, seed_points=(self._x_c,))
+        self._log_norm = self._log_integral(self._log_unnorm_x)
+
+    def _log_integral(self, logf) -> float:
+        """log of the integral of exp(logf) over x = log s2."""
+        lo, hi, x_pk = peak_bracket(logf, self._x_c)
+        val, _ = adaptive_log_integral(logf, lo, hi, rtol=1e-10,
+                                       seed_points=(x_pk,))
+        return val
 
     def _log_unnorm(self, s2: np.ndarray) -> np.ndarray:
         s2 = np.asarray(s2, dtype=float)
         out = -(self.alpha + 1.0) * np.log(s2) - 0.5 * self.rss / s2
-        for nu_j, q_j in zip(self.nu, self.q):
-            out = out + self._lig(nu_j, 0.5 * q_j / s2)
-        return out
+        # log gamma(nu_j, y_j) with y_j = q_j / (2 s2)
+        y = 0.5 * self.q / s2[..., None]
+        with np.errstate(divide="ignore"):
+            return out + (log_inc_gamma_ratio(self.nu, y)
+                          + self.nu * np.log(y)).sum(axis=-1)
 
     def _log_unnorm_x(self, x: np.ndarray) -> np.ndarray:
         # includes the Jacobian of s2 = e^x
-        return self._log_unnorm(np.exp(x)) + x
+        with np.errstate(over="ignore"):
+            s2 = np.exp(x)
+        return self._log_unnorm(s2) + x
 
     def logpdf(self, s2: np.ndarray) -> np.ndarray:
         return self._log_unnorm(s2) - self._log_norm
@@ -406,9 +407,7 @@ class Sigma2Density:
     def mean(self) -> float:
         if self.alpha + float(self.nu.sum()) <= 1.0:
             raise DomainError("mean does not exist for this density")
-        val, _ = adaptive_log_integral(
-            lambda x: self._log_unnorm_x(x) + x, self._x_c - 60.0,
-            self._x_c + 90.0, rtol=1e-10, seed_points=(self._x_c,))
+        val = self._log_integral(lambda x: self._log_unnorm_x(x) + x)
         return math.exp(val - self._log_norm)
 
     def mean_bound(self, a: float, p1: int, n: int) -> float:

@@ -168,7 +168,8 @@ def center_design(X_raw: np.ndarray, y_raw: np.ndarray,
 
 
 def _ls_solve(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least squares through pivoted QR; never forms X^T X."""
+    """Least squares through pivoted QR; never forms X^T X. y may hold
+    several right-hand sides as columns."""
     q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
     d = np.abs(np.diag(r))
     if d.size and (d.min() == 0.0 or d.min() < RANK_RTOL * d.max()):
@@ -242,10 +243,7 @@ def block_orthogonalize(d: CenteredDesign,
         Xb = d.X[:, [order[i] for i in idx]]
         if cols_done:
             Qprev = Q[:, cols_done]
-            C = _ls_solve(Qprev, Xb) if Xb.ndim == 2 else None
-            # _ls_solve handles one rhs; loop columns for clarity
-            C = np.column_stack([_ls_solve(Qprev, Xb[:, j])
-                                 for j in range(Xb.shape[1])])
+            C = _ls_solve(Qprev, Xb)
             Qb = Xb - Qprev @ C
             for r_pos, r_idx in enumerate(cols_done):
                 for c_pos, c_idx in enumerate(idx):

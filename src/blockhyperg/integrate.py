@@ -10,9 +10,12 @@ vector i gives the numerator of E[s_i | y] (so the block shrinkage is
 t_mean[i] = 1 - J(e_i)/J(0)). Working in the s coordinates keeps the coupling
 term delta + rho.s exact even when individual R_i^2 round to 1.
 
-Two integration routes: graded-panel tensor Gauss-Legendre (k <= 3) and
-randomized scrambled-Sobol QMC (k >= 4), plus a 1-D reduction through the
-lower incomplete gamma used as an independent cross-check.
+The library computes them with block_integrals_gamma1d for every k: a
+gamma mixture over a radial scale lam reduces each J(e) to one integral
+over log lam, whose integrand is a product of lower incomplete gammas.
+Graded-panel tensor Gauss-Legendre (block_integrals_quadrature, k <= 3)
+and randomized scrambled-Sobol QMC (block_integrals_qmc) stay as
+independent references for the tests.
 """
 
 from __future__ import annotations
@@ -22,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
-from scipy.stats import qmc
 
 from . import kernels
-from ._quadlog import adaptive_log_integral, gl_rule
+from ._quadlog import adaptive_log_integral, gl_rule, peak_bracket
 from .errors import IntegralDiverges, NoConvergence
-from .special import log_lower_inc_gamma
+from .special import log_inc_gamma_ratio
 
 DEFAULT_BUDGET = 10**6
 
@@ -202,7 +204,9 @@ def block_integrals_quadrature(bpow: np.ndarray, rho: np.ndarray,
                                refine: float | None = None,
                                rtol: float = 1e-7,
                                ) -> BlockIntegrals:
-    """Tensor-product graded quadrature; intended for k <= 3.
+    """Tensor-product graded quadrature: a test reference for k <= 3 and
+    small b_i only. With a large block it can be wrong without raising
+    (b = (200.5, 0.5) misses log J(0) by 5e-3).
 
     rtol sets the escalation target for the two-pass error estimate;
     loosening it coarsens the starting grid accordingly (replicated
@@ -290,33 +294,12 @@ class _AxisProposal:
         return x, logq
 
 
-def _log_inc_gamma_ratio(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """log[gamma(beta, x) / x^beta], elementwise, safe for tiny x.
-
-    As x -> 0 this tends to -log(beta); the small-x branch uses the first
-    series terms so the subtraction never touches an underflowed gammainc.
-    """
-    from scipy.special import gammainc, gammaln
-    out = np.empty_like(x)
-    small = x < 1e-4
-    xs = x[small]
-    bs = beta[small] if beta.shape == x.shape else np.broadcast_to(
-        beta, x.shape)[small]
-    out[small] = -np.log(bs) + np.log1p(
-        -bs * xs / (bs + 1.0) + bs * xs * xs / (2.0 * (bs + 2.0)))
-    xl = x[~small]
-    bl = np.broadcast_to(beta, x.shape)[~small]
-    with np.errstate(divide="ignore"):
-        out[~small] = (gammaln(bl) + np.log(gammainc(bl, xl))
-                       - bl * np.log(xl))
-    return out
-
-
 def block_integrals_qmc(bpow: np.ndarray, rho: np.ndarray, delta: float,
                         m: float, *, seed: int = 0, n_points: int = 2**16,
                         n_rand: int = 32,
                         budget: int = DEFAULT_BUDGET) -> BlockIntegrals:
-    """Randomized scrambled-Sobol integration via the gamma-mixture form.
+    """Randomized scrambled-Sobol integration via the gamma-mixture form;
+    a test reference.
 
     (delta + rho.s)^(-m) is written as a gamma mixture over a radial scale
     lam; one Sobol coordinate drives lam through a piecewise-exponential
@@ -327,6 +310,7 @@ def block_integrals_qmc(bpow: np.ndarray, rho: np.ndarray, delta: float,
     evaluation budget applies per randomization.
     """
     from scipy.special import gammainc, gammaincinv
+    from scipy.stats import qmc
     bpow = np.asarray(bpow, dtype=float)
     rho = np.asarray(rho, dtype=float)
     delta = max(float(delta), 0.0)
@@ -340,30 +324,8 @@ def block_integrals_qmc(bpow: np.ndarray, rho: np.ndarray, delta: float,
     n_points = min(n_points, max(budget, 256))
     beta = ba + 1.0
 
-    def radial_logf(y: np.ndarray) -> np.ndarray:
-        lam = np.exp(y)
-        out = m * y - lam * delta - math.lgamma(m)
-        for i in range(k):
-            out = out + _log_inc_gamma_ratio(
-                np.full_like(y, beta[i]), lam * ra[i])
-        return out
-
-    # bracket the radial peak the same way the 1-D oracle does
-    s_char = _char_scales(ba, ra, delta, m)
-    scale = delta + float(ra @ s_char)
-    y_c = math.log(max(m, 1.0) / max(scale, 1e-300))
-    lo, hi = y_c - 30.0, y_c + 30.0
-    fc = float(radial_logf(np.array([y_c]))[0])
-    for _ in range(40):
-        if float(radial_logf(np.array([lo]))[0]) > fc - 60.0:
-            lo -= 20.0
-        else:
-            break
-    for _ in range(40):
-        if float(radial_logf(np.array([hi]))[0]) > fc - 60.0:
-            hi += 20.0
-        else:
-            break
+    radial_logf = _radial_logf(beta, ra, delta, m)
+    lo, hi, _ = peak_bracket(radial_logf, _radial_center(ba, ra, delta, m))
     grid = np.linspace(lo, hi, 400)
     prop = _AxisProposal(grid, radial_logf(grid))
 
@@ -404,13 +366,44 @@ def block_integrals_qmc(bpow: np.ndarray, rho: np.ndarray, delta: float,
                           n_points * n_rand, "monte-carlo")
 
 
+def _radial_logf(beta: np.ndarray, rho: np.ndarray, delta: float, m: float):
+    """log of the gamma-mixture integrand over x = log lam,
+
+        lam^m exp(-lam delta) / Gamma(m) prod_i gamma(beta_i, lam rho_i)
+        / (lam rho_i)^beta_i,
+
+    whose integral is J(e) for beta = b + e + 1.
+    """
+    lgm = math.lgamma(m)
+
+    def logf(x: np.ndarray) -> np.ndarray:
+        # lam overflows far out in the tail: at delta = 0 that gives NaN,
+        # which peak_bracket treats as not negligible
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = np.exp(x)
+            return (m * x - lam * delta - lgm + log_inc_gamma_ratio(
+                beta, lam[:, None] * rho).sum(axis=1))
+    return logf
+
+
+def _radial_center(bpow: np.ndarray, rho: np.ndarray, delta: float,
+                   m: float) -> float:
+    """Expected peak of the radial profile in x = log lam: lam ~ m over
+    delta + a typical rho.s."""
+    s_char = _char_scales(bpow, rho, delta, m)
+    return math.log(max(m, 1.0) / max(delta + float(rho @ s_char), 1e-300))
+
+
 def block_integrals_gamma1d(bpow: np.ndarray, rho: np.ndarray, delta: float,
-                            m: float, *, rtol: float = 1e-11,
+                            m: float, *, rtol: float = 1e-10,
                             ) -> BlockIntegrals:
-    """Independent 1-D reduction used as a cross-check oracle.
+    """The production route: a 1-D reduction through a gamma mixture.
 
     (delta + rho.s)^(-m) = 1/Gamma(m) int lam^(m-1) exp(-lam (delta + rho.s))
-    turns each axis into gamma(b_i+1, lam rho_i) / (lam rho_i)^(b_i+1).
+    turns each axis into gamma(b_i+1, lam rho_i) / (lam rho_i)^(b_i+1), so
+    J(0) and each J(e_i) is one integral over x = log lam, for any k. Each
+    of the k+1 runs at rtol/10; the reported error is the largest of their
+    estimates and n_evals counts every integrand point.
     """
     bpow = np.asarray(bpow, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -418,46 +411,28 @@ def block_integrals_gamma1d(bpow: np.ndarray, rho: np.ndarray, delta: float,
     _check_propriety(bpow, rho, delta, m)
     active = rho > 0.0
     ba, ra = bpow[active], rho[active]
-    k_act = len(ba)
-    if k_act == 0:
+    if len(ba) == 0:
         log_i0, log_ax = _fold_inactive(bpow, active, 0.0, np.empty(0))
         return BlockIntegrals(log_i0, log_ax, 0.0, 0, "gamma1d")
-    lig = np.vectorize(log_lower_inc_gamma)
+    n_evals = 0
+    x_c = _radial_center(ba, ra, delta, m)
+    results, errors = [], []
+    for extra in [None] + list(range(len(ba))):
+        beta = ba + 1.0
+        if extra is not None:
+            beta[extra] += 1.0
+        radial = _radial_logf(beta, ra, delta, m)
 
-    def make_logf(extra_axis: int | None):
         def logf(x: np.ndarray) -> np.ndarray:
-            lam = np.exp(x)
-            out = m * x - lam * delta - math.lgamma(m)
-            for i in range(k_act):
-                bi = ba[i] + (1.0 if i == extra_axis else 0.0)
-                out = out + lig(bi + 1.0, lam * ra[i]) - (bi + 1.0) * (
-                    x + math.log(ra[i]))
-            return out
-        return logf
+            nonlocal n_evals
+            n_evals += x.size
+            return radial(x)
 
-    # peak scale: lam ~ m / (delta + typical rho.s)
-    s_char = _char_scales(ba, ra, delta, m)
-    scale = delta + float(ra @ s_char)
-    x_c = math.log(max(m, 1.0) / max(scale, 1e-300))
-    results = []
-    for extra in [None] + list(range(k_act)):
-        logf = make_logf(extra)
-        # expand the bracket until the endpoints are negligible
-        lo, hi = x_c - 30.0, x_c + 30.0
-        fc = float(logf(np.array([x_c]))[0])
-        for _ in range(40):
-            if float(logf(np.array([lo]))[0]) > fc - 60.0:
-                lo -= 20.0
-            else:
-                break
-        for _ in range(40):
-            if float(logf(np.array([hi]))[0]) > fc - 60.0:
-                hi += 20.0
-            else:
-                break
-        val, _ = adaptive_log_integral(logf, lo, hi, rtol=rtol,
-                                       seed_points=(x_c,))
+        lo, hi, x_pk = peak_bracket(logf, x_c)
+        val, err = adaptive_log_integral(logf, lo, hi, rtol=0.1 * rtol,
+                                         seed_points=(x_pk,))
         results.append(val)
+        errors.append(err)
     log_i0, log_ax = _fold_inactive(bpow, active, results[0],
                                     np.asarray(results[1:]))
-    return BlockIntegrals(log_i0, log_ax, rtol, 0, "gamma1d")
+    return BlockIntegrals(log_i0, log_ax, max(errors), n_evals, "gamma1d")

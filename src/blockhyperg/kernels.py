@@ -1,17 +1,16 @@
-"""Kernel backend selection: compiled extension when available, numpy otherwise."""
+"""Integrand kernel of the tensor-quadrature reference route."""
 
 from __future__ import annotations
 
-try:
-    from . import _kernels as _impl
+import numpy as np
 
-    BACKEND = "cython"
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _kernels_py as _impl
+# the kernel is plain numpy; the name stays for code that reports it
+BACKEND = "python"
 
-    BACKEND = "python"
 
-from . import _kernels_py as python_impl
-
-log_integrand_logs = _impl.log_integrand_logs
-log_integrand_u = _impl.log_integrand_u
+def log_integrand_logs(x: np.ndarray, beta: np.ndarray, rho: np.ndarray,
+                       delta: float, m: float) -> np.ndarray:
+    """out[j] = beta.x[j] - m log(delta + rho.exp(x[j])) on log s nodes;
+    beta already includes the +1 Jacobian of the s = exp(x) substitution."""
+    s = np.exp(x)
+    return x @ beta - m * np.log(delta + s @ rho)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import gammaincc, gammaln
 
 from ._quadlog import adaptive_log_integral
 from .errors import DomainError, NoConvergence
@@ -248,6 +249,39 @@ def log_lower_inc_gamma(s: float, x: float) -> float:
             # x >= s+1 keeps q comfortably below 1
             return math.log1p(-q) + math.lgamma(s)
     raise NoConvergence("incomplete gamma continued fraction stalled")
+
+
+def log_inc_gamma_ratio(beta, x) -> np.ndarray:
+    """log[gamma(beta, x) / x^beta] = log int_0^1 s^(beta-1) e^(-x s) ds,
+    elementwise over broadcast arrays with beta > 0 and x >= 0.
+
+    Below x = beta+1 the series sum_k x^k / (beta (beta+1) ... (beta+k))
+    is summed directly: its terms fall from the first one on, so nothing
+    underflows however large beta is, and log e^(-x) is added in log space.
+    Above it the upper tail gammaincc is small enough for log1p.
+    """
+    beta, x = np.broadcast_arrays(np.asarray(beta, dtype=float),
+                                  np.asarray(x, dtype=float))
+    out = np.empty(beta.shape)
+    low = x < beta + 1.0
+    bh, xh = beta[~low], x[~low]
+    out[~low] = (gammaln(bh) + np.log1p(-gammaincc(bh, xh))
+                 - bh * np.log(xh))
+    bl, xl = beta[low], x[low]
+    total = 1.0 / bl
+    term = total.copy()
+    live = np.arange(len(bl))
+    for k in range(1, 100_000):
+        if not live.size:
+            break
+        term = term * xl[live] / (bl[live] + k)
+        total[live] += term
+        going = term > total[live] * 1e-17
+        live, term = live[going], term[going]
+    else:
+        raise NoConvergence("incomplete gamma series stalled")
+    out[low] = np.log(total) - xl
+    return out
 
 
 def lower_inc_gamma(s: float, x: float) -> float:

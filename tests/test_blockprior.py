@@ -96,6 +96,23 @@ class TestBlockPosterior:
             wins += 1
         assert wins == 50
 
+    def test_large_block_exact_values(self):
+        # a=3, p = (402, 2): b = (200.5, 0.5), m = 600. Exact values from
+        # mpmath, with the inner integral as a closed-form 2F1 and the outer
+        # one by quad; tensor quadrature misses log J(0) by 5e-3
+        import dataclasses
+        d, fit = _ortho_fit(1201, (402, 2), np.zeros(404), seed=3)
+        fit = dataclasses.replace(fit, r2=0.7, one_minus_r2=0.3,
+                                  r2_blocks=np.array([0.5, 0.2]))
+        post = bf_block_hyper_g(BlockHyperGPrior(3.0, d.partition), fit,
+                                method="integrate")
+        assert post.method == "gamma1d"
+        assert post.log_bf_null == pytest.approx(
+            2.0 * math.log(0.5) + 226.494230596882, abs=1e-10)
+        np.testing.assert_allclose(post.t_mean,
+                                   [0.694696969697, 0.994318181818],
+                                   atol=1e-10)
+
     def test_requires_block_orthogonal(self):
         rng = np.random.default_rng(4)
         d = center_design(rng.normal(size=(30, 4)), rng.normal(size=30),
@@ -231,7 +248,7 @@ class TestLaplace:
         d_w, fit_w = _ortho_fit(2000, (2, 2), [0.07] * 4, seed=13)
         assert laplace_applicable(prior, fit_w)
         assert bf_block_hyper_g(prior, fit_w).method == "laplace"
-        assert bf_block_hyper_g(prior, fit_big).method == "quadrature"
+        assert bf_block_hyper_g(prior, fit_big).method == "gamma1d"
 
 
 class TestSigma2:
@@ -245,6 +262,12 @@ class TestSigma2:
         grid = np.linspace(0.3 * fit.sigma2_hat, 4.0 * fit.sigma2_hat, 200)
         np.testing.assert_allclose(dens.pdf(grid), ig.pdf(grid), rtol=1e-7)
         assert dens.mean() == pytest.approx(ig.mean, rel=1e-8)
+
+    def test_slow_tail_mean(self):
+        # no gamma factors: inverse gamma with shape alpha and scale rss/2,
+        # whose mean integrand decays only like s2^-(alpha-1)
+        dens = Sigma2Density(1.15, 100.0, np.empty(0), np.empty(0))
+        assert dens.mean() == pytest.approx(50.0 / 0.15, rel=1e-9)
 
     def test_exact_density_normalizes_and_bounds(self):
         d, fit = _ortho_fit(80, (2, 2), [0.8, -0.6, 0.4, 0.4], seed=2)

@@ -131,7 +131,7 @@ class TestFit:
         assert report["n"] == 60 and report["p"] == 3
         assert len(report["shrinkage"]) == 2
         assert len(report["posterior_mean"]) == 3
-        assert report["method"] == "quadrature"
+        assert report["method"] == "gamma1d"
         assert report["log_bf_null"] > 0
         assert "sigma2_posterior_mean" in report
         assert len(report["config_hash"]) == 64

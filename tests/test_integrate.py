@@ -1,6 +1,9 @@
 """Cross-checks between the three routes for the shrinkage integrals."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -57,6 +60,41 @@ class TestTensorVsGamma1d:
         want_ax = float(mpmath.log(
             mpmath.hyp2f1(m, 1, b + 3, rho) / (b + 2)))
         assert res.log_i_axis[0] == pytest.approx(want_ax, abs=1e-9)
+
+
+class TestProductionRoute:
+    @pytest.mark.parametrize("rho", [1.0, 0.7])
+    def test_unit_r2_proper_closed_form(self, rho):
+        # delta = 0, k = 1: J(e) = rho^-m / (b + e + 1 - m) while m < b + 1.
+        # The tail in log lam decays only at rate b + 1 - m = 0.4
+        b, m = 0.9, 1.5
+        res = block_integrals_gamma1d(np.array([b]), np.array([rho]), 0.0,
+                                      m, rtol=1e-7)
+        assert res.log_i0 == pytest.approx(
+            -m * math.log(rho) - math.log(b + 1.0 - m), abs=1e-7)
+        assert res.t_mean[0] == pytest.approx(
+            1.0 - (b + 1.0 - m) / (b + 2.0 - m), abs=1e-7)
+
+    def test_import_leaves_scipy_stats_out(self):
+        # scipy.stats is most of the import time and only the QMC
+        # reference uses it
+        code = ("import sys, blockhyperg; "
+                "sys.exit('scipy.stats' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", code],
+                              env=env).returncode == 0
+
+    @pytest.mark.parametrize("rtol", [1e-7, 1e-4])
+    def test_reports_measured_error_and_evaluations(self, rtol):
+        rng = np.random.default_rng(21)
+        bpow, rho, delta, m = _draw(rng, 4)
+        res = block_integrals_gamma1d(bpow, rho, delta, m, rtol=rtol)
+        oracle = block_integrals_gamma1d(bpow, rho, delta, m)
+        assert res.method == "gamma1d"
+        assert res.n_evals > 0
+        assert 0.0 <= res.error <= 0.1 * rtol
+        assert res.log_i0 == pytest.approx(oracle.log_i0, abs=rtol)
+        np.testing.assert_allclose(res.t_mean, oracle.t_mean, atol=rtol)
 
 
 class TestQmc:

@@ -8,8 +8,8 @@ import pytest
 
 from blockhyperg.errors import DomainError, NoConvergence
 from blockhyperg.special import (hyp2f1, hyp2f1_log, hyp2f1_near1_scaled,
-                                 log_lower_inc_gamma, log_series_2f1,
-                                 lower_inc_gamma)
+                                 log_inc_gamma_ratio, log_lower_inc_gamma,
+                                 log_series_2f1, lower_inc_gamma)
 
 mpmath.mp.dps = 40
 
@@ -126,3 +126,25 @@ def test_lower_inc_gamma_extreme_arguments():
     assert lower_inc_gamma(3.0, 0.0) == 0.0
     with pytest.raises(DomainError):
         log_lower_inc_gamma(-1.0, 2.0)
+
+
+def test_inc_gamma_ratio_large_shapes_against_mpmath():
+    # log[gamma(beta, x) / x^beta] for the shapes of blocks with hundreds of
+    # predictors, where gammainc(beta, x) itself underflows to 0
+    for beta, x in [(200.0, 1.0), (600.0, 1e-3), (600.0, 10.0)]:
+        want = float(mpmath.log(mpmath.gammainc(beta, 0, x))
+                     - beta * mpmath.log(x))
+        got = float(log_inc_gamma_ratio(beta, x))
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_inc_gamma_ratio_matches_scalar_routine():
+    beta = np.geomspace(0.05, 1000.0, 23)[:, None]
+    x = np.geomspace(1e-12, 1e4, 31)[None, :]
+    got = log_inc_gamma_ratio(beta, x)
+    want = np.vectorize(log_lower_inc_gamma)(beta, x) - beta * np.log(x)
+    scale = np.maximum(1.0, np.abs(beta * np.log(x)))
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    # x = 0 is the s-integral of s^(beta-1): 1/beta
+    np.testing.assert_allclose(log_inc_gamma_ratio(beta[:, 0], 0.0),
+                               -np.log(beta[:, 0]), rtol=1e-15)
