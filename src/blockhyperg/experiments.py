@@ -23,7 +23,6 @@ import numpy as np
 from . import blockprior, design, hyperg, models
 from .errors import (DomainError, PreconditionViolated,
                      SimulationBudgetExceeded)
-from .special import hyp2f1_log
 
 DEFAULT_SCALES = (1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
 MAX_REPLICATES = 2000
@@ -153,19 +152,12 @@ def _m1_stats(fit: design.FitSummary) -> tuple[float, float]:
     return r2_1, one_minus
 
 
-def _kappa(fit: design.FitSummary, i: int) -> float:
-    """kappa_i = R_i^2 / (1 - sum_(j != i) R_j^2), formed stably."""
+def _kappa(fit: design.FitSummary, i: int) -> tuple[float, float]:
+    """kappa_i = R_i^2 / (1 - sum_(j != i) R_j^2) and 1 - kappa_i, both
+    formed stably."""
     rss = (fit.n - fit.p - 1) * fit.sigma2_hat
     q = np.asarray(fit.r2_blocks) * fit.yty
-    return float(q[i] / (rss + q[i]))
-
-
-def _kappa_upper(a: float, p_i: int, n: int, kappa: float) -> float:
-    """Upper bracket on E[t_i | y]: the k=1 shrinkage evaluated at kappa_i."""
-    m = 0.5 * (n - 1)
-    num = hyp2f1_log(m, 2.0, 0.5 * (a + p_i) + 1.0, kappa)
-    den = hyp2f1_log(m, 1.0, 0.5 * (a + p_i), kappa)
-    return (2.0 / (a + p_i)) * math.exp(num - den)
+    return float(q[i] / (rss + q[i])), float(rss / (rss + q[i]))
 
 
 def run_els_experiment(spec: SequenceSpec) -> ExperimentResult:
@@ -196,8 +188,9 @@ def run_els_experiment(spec: SequenceSpec) -> ExperimentResult:
             res.add(c, f"block_t_mean_{i + 1}", post.t_mean[i],
                     post.error_estimate)
             if i >= 1:
-                kap = _kappa(fit, i)
-                upper = _kappa_upper(a, part.sizes[i], n, kap)
+                # upper bracket on E[t_i | y]: the k=1 shrinkage at kappa_i
+                upper = hyperg.shrinkage_hyper_g_stats(
+                    a, n, part.sizes[i], *_kappa(fit, i))
                 res.add(c, f"block_t_upper_{i + 1}", upper)
                 lo = 2.0 / (a + part.sizes[i]) - 1e-3
                 if not (lo <= post.t_mean[i] <= upper + 1e-9

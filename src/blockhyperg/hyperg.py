@@ -3,6 +3,21 @@ shrinkage factors, posterior means, and the large-sample sigma^2 posterior.
 
 All Bayes factors are computed and stored as logs; linear values are exposed
 on demand. Drifting-sequence experiments overflow doubles otherwise.
+
+The hyper-g Bayes factor and shrinkage take one of three routes:
+
+- unit R^2: a finite limit or a +inf sentinel;
+- R^2 >= 1/2 and n > p+a+1: closed forms through the regularized incomplete
+  beta function (`_closed_form`);
+- otherwise `special.hyp2f1_log`: the Gauss series at small R^2, and its
+  Euler quadrature in the bounded regime n <= p+a+1 near R^2 = 1.
+
+`hyper_g_scores` scores many models at once, with the closed form and the
+series each vectorized over the models in their range.
+
+Below R^2 = 1/2 the closed form loses digits to cancellation between its
+beta function and the incomplete-beta factor, so the series keeps that range.
+The series also takes over where an incomplete-beta factor underflows.
 """
 
 from __future__ import annotations
@@ -12,11 +27,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betaincc, betaln
 
 from ._quadlog import adaptive_log_integral
 from .design import FitSummary
 from .errors import DomainError
-from .special import hyp2f1_log
+from .special import hyp2f1_log, log_series_2f1
 
 LOG_BF_INF = math.inf
 
@@ -99,6 +115,86 @@ def bf_fixed_g(prior: FixedGPrior, fit: FitSummary) -> float:
                                          fit.one_minus_r2))
 
 
+def _closed_form_applies(a, n, p, omr2):
+    """Where `_closed_form` keeps full precision: 0 < 1-R^2 <= 1/2 and
+    n > p+a+1, which makes both incomplete-beta parameters positive."""
+    return (omr2 > 0.0) & (omr2 <= 0.5) & (n > p + a + 1.0)
+
+
+def _closed_form(a, n, p, omr2) -> tuple[np.ndarray, np.ndarray]:
+    """Hyper-g log Bayes factor and shrinkage E[g/(1+g) | y], elementwise.
+
+    With m = (n-1)/2, c = (a+p)/2, q = m-c+1 and z = R^2,
+
+        2F1(m, 1; c; z) = (c-1) z^(1-c) (1-z)^(-q) B(c-1, q) I_z(c-1, q),
+
+    and the shrinkage needs only b = 1 in the second parameter:
+    1 - ((c-1)/c) 2F1(m,1;c+1;z) / 2F1(m,1;c;z), whose beta functions
+    cancel to 1 - (c-1)(1-z) I_z(c, q-1) / (z (q-1) I_z(c-1, q)).
+    I_z(s, t) is evaluated as betaincc(t, s, 1-z), so 1-R^2 enters
+    exactly and never as 1 minus a rounded R^2.
+
+    Both values are NaN where an incomplete-beta factor is below the
+    smallest normal double, which happens for blocks of thousands of
+    predictors with n near p; the callers take the series route there.
+    """
+    m = 0.5 * (n - 1.0)
+    c = 0.5 * (a + p)
+    q = m - c + 1.0
+    i_lo = betaincc(q, c - 1.0, omr2)
+    i_hi = betaincc(q - 1.0, c, omr2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_bf = (np.log(0.5 * (a - 2.0)) + (1.0 - c) * np.log1p(-omr2)
+                  - q * np.log(omr2) + betaln(c - 1.0, q) + np.log(i_lo))
+        shrink = 1.0 - ((c - 1.0) * omr2 * i_hi
+                        / ((1.0 - omr2) * (q - 1.0) * i_lo))
+    underflow = np.minimum(i_lo, i_hi) < np.finfo(float).tiny
+    return (np.where(underflow, np.nan, log_bf),
+            np.where(underflow, np.nan, shrink))
+
+
+def _series_form(a, n, p, omr2) -> tuple[np.ndarray, np.ndarray]:
+    """Hyper-g log Bayes factor and shrinkage through the Gauss series,
+    elementwise: the route `hyp2f1_log` takes for R^2 <= 0.95, with
+    R^2 = 1 - (1-R^2) as it forms it."""
+    m = 0.5 * (n - 1.0)
+    c = 0.5 * (a + p)
+    log_den = log_series_2f1(m, 1.0, c, 1.0 - omr2)
+    log_num = log_series_2f1(m, 2.0, c + 1.0, 1.0 - omr2)
+    return (np.log(a - 2.0) - np.log(p + a - 2.0) + log_den,
+            (2.0 / (p + a)) * np.exp(log_num - log_den))
+
+
+def hyper_g_scores(a: float, n, p, r2, one_minus_r2,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """log BF against the null and shrinkage for many models at once.
+
+    Elementwise over broadcast arrays of (n, p, R^2, 1-R^2), with the
+    values `log_bf_hyper_g_stats` and `shrinkage_hyper_g_stats` give.
+    Entries in the closed-form range, and those with R^2 < 1/2 and
+    n > p+1, are scored from 1-R^2 in one vectorized call per route; the
+    rest (unit R^2, the bounded regime n <= p+a+1 near R^2 = 1, and what
+    the scalar functions reject) go through the scalar functions one by
+    one.
+    """
+    n, p, r2, omr2 = np.broadcast_arrays(
+        np.asarray(n), np.asarray(p), np.asarray(r2, dtype=float),
+        np.asarray(one_minus_r2, dtype=float))
+    log_bf = np.empty(r2.shape)
+    shrink = np.empty(r2.shape)
+    closed = _closed_form_applies(a, n, p, omr2)
+    series = (omr2 > 0.5) & (omr2 <= 1.0) & (n > p + 1)
+    for route, form in ((closed, _closed_form), (series, _series_form)):
+        log_bf[route], shrink[route] = form(a, n[route], p[route],
+                                            omr2[route])
+    closed &= np.isfinite(log_bf)
+    for i in zip(*np.nonzero(~(closed | series))):
+        args = (a, int(n[i]), int(p[i]), float(r2[i]), float(omr2[i]))
+        log_bf[i] = log_bf_hyper_g_stats(*args)
+        shrink[i] = shrinkage_hyper_g_stats(*args)
+    return log_bf, shrink
+
+
 def log_bf_hyper_g_stats(a: float, n: int, p: int, r2: float,
                          one_minus_r2: float | None = None) -> float:
     """log of (a-2)/(p+a-2) * 2F1((n-1)/2, 1; (a+p)/2; R^2).
@@ -117,6 +213,10 @@ def log_bf_hyper_g_stats(a: float, n: int, p: int, r2: float,
                 "exact unit R^2 with n in [p+a-1, p+a+1]: reporting the "
                 "divergent limit", RuntimeWarning, stacklevel=2)
         return LOG_BF_INF
+    if _closed_form_applies(a, n, p, omr2):
+        log_bf = float(_closed_form(a, n, p, omr2)[0])
+        if not math.isnan(log_bf):
+            return log_bf
     z = r2 if omr2 > 0.0 else 1.0
     return lead + hyp2f1_log(0.5 * (n - 1), 1.0, 0.5 * (a + p), z,
                              one_minus_z=omr2)
@@ -176,6 +276,10 @@ def shrinkage_hyper_g_stats(a: float, n: int, p: int, r2: float,
     m = 0.5 * (n - 1)
     if m == 0.0:
         return 2.0 / (p + a)
+    if _closed_form_applies(a, n, p, omr2):
+        shrink = float(_closed_form(a, n, p, omr2)[1])
+        if not math.isnan(shrink):
+            return shrink
     z = r2 if omr2 > 0.0 else 1.0
     log_num = hyp2f1_log(m, 2.0, 0.5 * (p + a) + 1.0, z, one_minus_z=omr2)
     log_den = hyp2f1_log(m, 1.0, 0.5 * (p + a), z, one_minus_z=omr2)

@@ -11,9 +11,12 @@ from scipy.special import logsumexp
 
 from . import blockprior, design, hyperg
 from .errors import (BudgetExceeded, DimensionMismatch, DomainError,
-                     EmptyModelList)
+                     EmptyModelList, RankDeficient)
 
-ALL_SUBSETS_MAX_P = 25
+# the largest p whose CLI search, JSON included, ends within 60 s on a
+# 2-vCPU VM (README, "Command line")
+ALL_SUBSETS_MAX_P = 18
+_BATCH = 4096  # models factored per batched QR in an all-subsets search
 
 
 @dataclass(frozen=True)
@@ -158,10 +161,11 @@ def model_inference(d: design.CenteredDesign, spec: ModelSpec,
     """log BF vs null, full-length posterior coefficient mean, and the
     method label of the evidence computation.
 
-    all-subsets scores each model with the single-block prior; block-subsets
-    uses the block prior on the induced partition (orthogonalizing the
-    slice if needed and mapping the shrunk coefficients back through the
-    triangular transform).
+    all-subsets scores each model with the single-block prior, from its
+    own least-squares fit (the search scores these from one factorization
+    instead, and the tests hold it to this); block-subsets uses the block
+    prior on the induced partition (orthogonalizing the slice if needed and
+    mapping the shrunk coefficients back through the triangular transform).
     """
     p = d.p
     if spec.is_null:
@@ -212,8 +216,17 @@ def evaluate_model_space(d: design.CenteredDesign, mode: str,
                          ) -> tuple[ModelPosterior, np.ndarray, list[str]]:
     """Score every enumerated model; returns the posterior, a matrix of
     full-length posterior coefficient means (one row per model), and the
-    per-model method labels."""
+    per-model method labels.
+
+    all-subsets models are scored together from one factorization
+    (`_all_subsets_scores`); block-subsets models one at a time through
+    `model_inference`.
+    """
     models = enumerate_models(d.partition, mode)
+    if mode == "all-subsets":
+        log_bfs, means = _all_subsets_scores(d, models, a)
+        methods = ["closed-form"] * len(models)
+        return posterior_model_probs(models, log_bfs, prior), means, methods
     log_bfs = np.empty(len(models))
     means = np.zeros((len(models), d.p))
     methods = []
@@ -224,6 +237,54 @@ def evaluate_model_space(d: design.CenteredDesign, mode: str,
                                                      rtol=rtol)
         methods.append(meth)
     return posterior_model_probs(models, log_bfs, prior), means, methods
+
+
+def _all_subsets_scores(d: design.CenteredDesign, models: list[ModelSpec],
+                        a: float) -> tuple[np.ndarray, np.ndarray]:
+    """log BFs and posterior coefficient means of single-block hyper-g
+    models, all from one QR factorization of [X | y].
+
+    With [X | y] = Q [R | r_y], a submodel S fits r_y on R[:, S] exactly
+    as it fits y on X[:, S]. The triangle of [R[:, S] | r_y] holds the
+    model's own triangle T_S, u = Q_S^T r_y in its last column above the
+    diagonal, and the residual norm on the diagonal below u. So
+    fit^2 = |u|^2 and RSS is one squared entry, never a difference, and
+    nothing per model depends on n. Models of equal size are factored
+    together in batches.
+    """
+    n, p = d.n, d.p
+    R = np.linalg.qr(np.column_stack([d.X, d.y]), mode="r")
+    gammas = np.array([m.gamma for m in models], dtype=bool)
+    sizes = gammas.sum(axis=1)
+    log_bfs = np.zeros(len(models))
+    means = np.zeros((len(models), p))
+    for s in range(1, p + 1):
+        group = np.flatnonzero(sizes == s)
+        for start in range(0, len(group), _BATCH):
+            idx = group[start:start + _BATCH]
+            cols = np.nonzero(gammas[idx])[1].reshape(len(idx), s)
+            stack = np.concatenate(
+                [R[:, cols].transpose(1, 0, 2),
+                 np.broadcast_to(R[:, p:], (len(idx), p + 1, 1))], axis=2)
+            tri = np.linalg.qr(stack, mode="r")
+            diag = np.abs(np.diagonal(tri[:, :s, :s], axis1=1, axis2=2))
+            if np.any((diag.min(axis=1) == 0.0)
+                      | (diag.min(axis=1)
+                         < design.RANK_RTOL * diag.max(axis=1))):
+                raise RankDeficient("least-squares system rank-deficient")
+            u = tri[:, :s, s]
+            fit2 = np.sum(u * u, axis=1)
+            rss = tri[:, s, s] ** 2
+            total = fit2 + rss
+            r2 = np.divide(fit2, total, out=np.zeros(len(idx)),
+                           where=total > 0)
+            omr2 = np.divide(rss, total, out=np.ones(len(idx)),
+                             where=total > 0)
+            log_bfs[idx], shrink = hyperg.hyper_g_scores(a, n, s, r2, omr2)
+            # LU of a triangle pivots nowhere: this is back-substitution
+            beta = np.linalg.solve(tri[:, :s, :s], u[..., None])[..., 0]
+            means[idx[:, None], cols] = shrink[:, None] * beta
+    return log_bfs, means
 
 
 def bma_predict(x_star: np.ndarray, posterior: ModelPosterior,

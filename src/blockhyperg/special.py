@@ -8,7 +8,12 @@ Gauss series all-positive and the Euler integral
 finite. Two independent evaluation routes are kept: the scaled power series
 (Kahan-compensated) and adaptive quadrature of the Euler integral carried out
 in log space so values far beyond double range remain usable through
-hyp2f1_log.
+hyp2f1_log. The series also runs elementwise over arrays, and each entry
+stops at the first span of terms whose bounded tail is negligible.
+
+The hyper-g Bayes factor and shrinkage use neither route when R^2 >= 1/2
+and n > p+a+1: `hyperg` evaluates them there in closed form through the
+incomplete beta function.
 """
 
 from __future__ import annotations
@@ -40,50 +45,71 @@ def _series_terms_estimate(a: float, b: float, c: float, z: float) -> float:
     return (max(0.0, a + b - c) + 60.0) / max(lam, 1e-18) + 60.0
 
 
-def log_series_2f1(a: float, b: float, c: float, z: float,
-                   budget: int = _SERIES_BUDGET) -> float:
+def log_series_2f1(a, b, c, z, budget: int = _SERIES_BUDGET):
     """log of the Gauss series, scaled accumulation, Kahan-compensated.
 
-    All terms are positive in the supported regime. Raises NoConvergence if
-    the term budget is exhausted before the tail is negligible.
+    Elementwise over broadcast arrays; a float for scalar arguments. All
+    terms are positive in the supported regime. The terms are summed in
+    spans short enough for each cumprod to stay inside double range, and
+    each entry stops after the first span whose tail is negligible. The
+    tail after term t_K is at most t_K R / (1 - R) for any bound R < 1 on
+    the ratios r_j = t_(j+1) / t_j, j >= K. Writing r_j = z (1 + (alpha j
+    + beta) / ((c+j)(1+j))) with alpha = a+b-c-1 and beta = ab-c gives
+
+        R = z (1 + max(alpha, 0) / (1+K) + max(beta, 0) / ((c+K)(1+K))),
+
+    which holds whether the ratios fall toward their limit z or rise toward
+    it. Raises NoConvergence if the term budget is exhausted before the
+    tail is negligible.
     """
-    if z == 0.0:
-        return 0.0
-    logscale = 0.0
-    total = 1.0
-    comp = 0.0  # Kahan compensation across chunk sums
-    term = 1.0
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (a, b, c, z)))
+    a, b, c, z = (v.ravel() for v in np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (a, b, c, z))))
+    out = np.zeros(z.shape)
+    # the state of the entries still summing; finished ones leave it
+    idx = np.flatnonzero(z != 0.0)
+    a, b, c, z = a[idx], b[idx], c[idx], z[idx]
+    alpha = np.maximum(a + b - c - 1.0, 0.0)
+    beta = np.maximum(a * b - c, 0.0)
+    logscale = np.zeros(idx.shape)
+    total = np.ones(idx.shape)
+    comp = np.zeros(idx.shape)  # Kahan compensation across span sums
+    term = np.ones(idx.shape)
     k = 0
-    chunk = 4096
-    while k < budget:
-        ks = np.arange(k, k + chunk, dtype=float)
-        ratios = (a + ks) * (b + ks) * z / ((c + ks) * (1.0 + ks))
+    while idx.size:
+        if k >= budget:
+            raise NoConvergence(
+                f"2F1 series exceeded {budget} terms (a={a[0]}, b={b[0]}, "
+                f"c={c[0]}, z={z[0]})")
+        r0 = max(float(np.max((a + k) * (b + k) * z
+                              / ((c + k) * (1.0 + k)))), 1.0)
         # keep each cumprod inside double range
-        pos = 0
-        while pos < chunk:
-            r0 = max(ratios[pos], 1.0)
-            span = int(min(chunk - pos, max(8, 200.0 / max(1.0, math.log10(r0) * 1.2))))
-            terms = term * np.cumprod(ratios[pos:pos + span])
-            s = math.fsum(terms)
-            y = s - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            term = float(terms[-1])
-            pos += span
-            # rescale early: the next span may grow by ~200 decades
-            if total > 1e60 or term > 1e60:
-                logscale += math.log(total)
-                term /= total
-                comp /= total
-                total = 1.0
-        k += chunk
-        last_ratio = float(ratios[-1])
-        if last_ratio < 1.0 and term < total * 1e-18 * (1.0 - last_ratio):
-            return math.log(total) + logscale
-    raise NoConvergence(
-        f"2F1 series exceeded {budget} terms (a={a}, b={b}, c={c}, z={z})"
-    )
+        span = int(max(8, 200.0 / max(1.0, math.log10(r0) * 1.2)))
+        ks = np.arange(k, k + span, dtype=float)
+        terms = term[:, None] * np.cumprod(
+            (a[:, None] + ks) * (b[:, None] + ks) * z[:, None]
+            / ((c[:, None] + ks) * (1.0 + ks)), axis=1)
+        y = terms.sum(axis=1) - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        term = terms[:, -1]
+        k += span
+        # rescale early: the next span may grow by ~200 decades
+        scale = np.where((total > 1e60) | (term > 1e60), total, 1.0)
+        logscale += np.log(scale)
+        term /= scale
+        comp /= scale
+        total /= scale
+        r_sup = z * (1.0 + alpha / (1.0 + k) + beta / ((c + k) * (1.0 + k)))
+        done = (r_sup < 1.0) & (term < total * 1e-18 * (1.0 - r_sup))
+        if done.any():
+            out[idx[done]] = np.log(total[done]) + logscale[done]
+            keep = ~done
+            idx, a, b, c, z, alpha, beta, logscale, total, comp, term = (
+                v[keep] for v in (idx, a, b, c, z, alpha, beta, logscale,
+                                  total, comp, term))
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def _log_euler_quad(a: float, b: float, c: float, z: float,

@@ -10,13 +10,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from blockhyperg.design import BlockPartition, CenteredDesign, fit_least_squares
 from blockhyperg.errors import DomainError
 from blockhyperg.hyperg import (FixedGPrior, HyperGPrior, InverseGammaParams,
                                 bf_fixed_g, bf_hyper_g, bf_ratio_hyper_g,
-                                log_bf_fixed_g_stats, log_bf_hyper_g_gquad,
-                                log_bf_hyper_g_stats, log_bf_ratio_hyper_g,
+                                hyper_g_scores, log_bf_fixed_g_stats,
+                                log_bf_hyper_g_gquad, log_bf_hyper_g_stats,
+                                log_bf_ratio_hyper_g,
                                 posterior_mean_hyper_g, shrinkage_hyper_g,
                                 shrinkage_hyper_g_stats,
                                 sigma2_limit_hyper_g)
@@ -149,6 +152,80 @@ class TestHyperGBayesFactor:
             HyperGPrior(4.5)
         with pytest.raises(DomainError):
             log_bf_hyper_g_stats(3.0, 4, 3, 0.5)
+
+
+def _mp_hyper_g(a, n, p, omr2):
+    """log BF and shrinkage E[g/(1+g)] as mpmath integrals over u = log g.
+
+    1-R^2 enters only through 1 + g (1-R^2), so no digits are needed to
+    carry it, and the oracle shares no step with either library route.
+    Breakpoints sit around the peak, where omega g = t for g >> 1.
+    """
+    with mpmath.workdps(20):
+        a_, om = mpmath.mpf(a), mpmath.mpf(omr2)
+        c1, c2 = (n - p - 1 - a_) / 2, mpmath.mpf(n - 1) / 2
+        t = (1 + c1) / (c2 - 1 - c1)
+        u_pk = mpmath.log(t / om)
+        width = (1 + t) / mpmath.sqrt(c2 * t)
+
+        def logf(u):
+            return (u + c1 * mpmath.log1p(mpmath.exp(u))
+                    - c2 * mpmath.log1p(om * mpmath.exp(u)))
+
+        pts = ([-mpmath.inf]
+               + sorted({mpmath.mpf(0), u_pk - 8 * width, u_pk,
+                         u_pk + 8 * width}) + [mpmath.inf])
+        f_pk = logf(u_pk)
+        i0 = mpmath.quad(lambda u: mpmath.exp(logf(u) - f_pk), pts)
+        i1 = mpmath.quad(lambda u: mpmath.exp(logf(u) - f_pk)
+                         / (1 + mpmath.exp(-u)), pts)
+        return (float(mpmath.log((a_ - 2) / 2) + f_pk + mpmath.log(i0)),
+                float(i1 / i0))
+
+
+class TestAgainstMpmath:
+    """The closed form (R^2 >= 1/2) and the series (R^2 < 1/2) at
+    n > p+a+1, in the scalar functions and in `hyper_g_scores`, over
+    1-R^2 down to 1e-300, a near 2 and a = 4, n up to 5000, p up to 25."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(a=st.one_of(st.floats(2.0 + 1e-6, 2.01), st.just(4.0),
+                       st.floats(2.01, 4.0)),
+           p=st.integers(1, 25), n=st.integers(5, 5000),
+           log10_omr2=st.floats(-300.0, -1e-3))
+    @example(a=2.0 + 1e-6, p=25, n=5000, log10_omr2=-300.0)
+    @example(a=4.0, p=1, n=7, log10_omr2=-300.0)
+    @example(a=3.0, p=20, n=5000, log10_omr2=math.log10(0.5))
+    @example(a=3.0, p=20, n=5000, log10_omr2=math.log10(0.55))
+    def test_log_bf_and_shrinkage(self, a, p, n, log10_omr2):
+        assume(n > p + a + 1.0)
+        omr2 = 10.0 ** log10_omr2
+        want_bf, want_s = _mp_hyper_g(a, n, p, omr2)
+        got_bf = log_bf_hyper_g_stats(a, n, p, 1.0 - omr2, omr2)
+        got_s = shrinkage_hyper_g_stats(a, n, p, 1.0 - omr2, omr2)
+        # plain floats: numpy scalars leak into the JSON reports otherwise
+        assert type(got_bf) is float and type(got_s) is float
+        many_bf, many_s = hyper_g_scores(a, [n], [p], [1.0 - omr2], [omr2])
+        for bf, s in ((got_bf, got_s), (many_bf[0], many_s[0])):
+            assert abs(bf - want_bf) <= 1e-12 * max(1.0, abs(want_bf))
+            assert abs(s - want_s) <= 1e-12 * want_s
+
+    def test_incomplete_beta_underflow_takes_the_series(self):
+        # p = 3000, n = p+5, R^2 = 1/2: I_z(c-1, q) is below 1e-308, so
+        # the closed form cannot carry it; at p = 1000 it still can
+        for p in (3000, 1000):
+            a, n, omr2 = 3.0, p + 5, 0.5
+            m, c = mpmath.mpf(n - 1) / 2, mpmath.mpf(a + p) / 2
+            f1 = mpmath.hyp2f1(m, 1, c, omr2)
+            want_bf = float(mpmath.log((a - 2) / (p + a - 2) * f1))
+            want_s = float(2 / (p + a) * mpmath.hyp2f1(m, 2, c + 1, omr2)
+                           / f1)
+            got = hyper_g_scores(a, n, [p], [1.0 - omr2], [omr2])
+            for bf, s in ((log_bf_hyper_g_stats(a, n, p, 0.5, omr2),
+                           shrinkage_hyper_g_stats(a, n, p, 0.5, omr2)),
+                          (got[0][0], got[1][0])):
+                assert bf == pytest.approx(want_bf, rel=1e-12)
+                assert s == pytest.approx(want_s, rel=1e-12)
 
 
 class TestShrinkage:

@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from blockhyperg._quadlog import logsumexp
 from blockhyperg.errors import IntegralDiverges, NoConvergence
 from blockhyperg.integrate import (block_integrals_gamma1d,
                                    block_integrals_qmc,
@@ -83,6 +84,19 @@ class TestProductionRoute:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         assert subprocess.run([sys.executable, "-c", code],
                               env=env).returncode == 0
+
+    def test_logsumexp_matches_scipy(self):
+        # the panel sums' own helper keeps scipy's values, and a row of
+        # all -inf (a panel where the integrand underflows) gives -inf
+        from scipy.special import logsumexp as scipy_logsumexp
+        rows = np.array([[1.0, 2.0, 3.0], [-np.inf] * 3,
+                         [np.inf, 1.0, 2.0], [-np.inf, 0.0, -np.inf],
+                         [800.0, 800.0, -1.0], [-800.0, -801.0, -1e300]])
+        got = logsumexp(rows, axis=1)
+        np.testing.assert_allclose(got, scipy_logsumexp(rows, axis=1),
+                                   rtol=1e-15)
+        assert got[1] == -np.inf
+        assert logsumexp(np.array([0.0, 0.0])) == pytest.approx(math.log(2))
 
     @pytest.mark.parametrize("rtol", [1e-7, 1e-4])
     def test_reports_measured_error_and_evaluations(self, rtol):

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from blockhyperg.design import (BlockPartition, block_orthogonalize,
-                                center_design)
+from blockhyperg import design
+from blockhyperg.design import (BlockPartition, CenteredDesign,
+                                block_orthogonalize, center_design)
 from blockhyperg.errors import (BudgetExceeded, DimensionMismatch,
-                                DomainError, EmptyModelList)
+                                DomainError, EmptyModelList, RankDeficient)
 from blockhyperg.models import (ALL_SUBSETS_MAX_P, ModelSpec, bma_predict,
                                 enumerate_models, evaluate_model_space,
                                 model_inference, posterior_model_probs)
@@ -172,6 +173,53 @@ class TestEvaluateSpace:
         p1, _, _ = evaluate_model_space(d, "block-subsets", rtol=1e-4)
         p2, _, _ = evaluate_model_space(d, "block-subsets")
         np.testing.assert_allclose(p1.post_prob, p2.post_prob, atol=1e-3)
+
+
+class TestAllSubsetsTriangle:
+    def test_matches_per_model_fits(self, monkeypatch):
+        # the scores from one factorization of [X | y] against a fresh
+        # per-model fit_least_squares and the closed forms, on correlated,
+        # badly scaled designs; odd seeds are near-saturated, with 1-R^2
+        # about 1e-12 for the models that hold the signal
+        def refuse(*_):
+            raise AssertionError("per-model least-squares fit")
+
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            p = int(rng.integers(2, 8))
+            n = int(rng.choice([p + 3, 30, 400]))
+            X = rng.normal(size=(n, p)) * np.exp(rng.normal(size=p))
+            X[:, 1:] += 0.5 * X[:, :1]
+            beta = rng.normal(size=p) * (rng.random(p) < 0.7)
+            beta[0] = 1.0
+            y = X @ beta + (1e-6 if seed % 2 else 1.0) * rng.normal(size=n)
+            d = center_design(X, y, BlockPartition.single(p))
+            want = [model_inference(d, m, "all-subsets")
+                    for m in enumerate_models(d.partition, "all-subsets")]
+            with monkeypatch.context() as patch:
+                patch.setattr(design, "fit_least_squares", refuse)
+                post, means, methods = evaluate_model_space(d, "all-subsets")
+            assert methods == ["closed-form"] * len(want)
+            # a coefficient error counts by the fit it moves: |x_j| |d b_j|
+            col = np.linalg.norm(d.X, axis=0)
+            for i, (log_bf, mean, _) in enumerate(want):
+                assert abs(post.log_bf_null[i] - log_bf) <= 1e-10 * max(
+                    1.0, abs(log_bf))
+                assert np.all(np.abs(means[i] - mean) * col
+                              <= 1e-10 * np.linalg.norm(d.y))
+
+    def test_rank_deficient_submodel_raises(self):
+        # pins the per-model rank check: the two equal columns make every
+        # model that holds both singular
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(40, 2))
+        X = np.column_stack([x, x[:, 0]])
+        X -= X.mean(axis=0)
+        y = x[:, 0] + rng.normal(size=40)
+        d = CenteredDesign(y=y - y.mean(), X=X,
+                           partition=BlockPartition.single(3))
+        with pytest.raises(RankDeficient):
+            evaluate_model_space(d, "all-subsets")
 
 
 class TestBmaPredict:

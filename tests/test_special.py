@@ -84,6 +84,26 @@ def test_series_route_alone():
     assert got == pytest.approx(_mp_2f1_log(5.0, 1.5, 4.0, 0.7), rel=1e-12)
 
 
+def test_series_against_mpmath_elementwise():
+    # pins the values of the series that stops after its first span,
+    # including ratios that rise toward z (a+b-c-1 > 0 > ab-c); the array
+    # form is new and must give each entry's scalar value
+    rng = np.random.default_rng(11)
+    a = rng.uniform(0.5, 60.0, 150)
+    b = np.where(rng.random(150) < 0.5, rng.choice([1.0, 2.0], 150),
+                 rng.uniform(0.2, 3.0, 150))
+    c = b + rng.uniform(0.05, 10.0, 150)
+    z = rng.uniform(0.0, 0.5, 150) ** rng.choice([1.0, 3.0], 150)
+    got = log_series_2f1(a, b, c, z)
+    assert got.shape == (150,)
+    for i in range(150):
+        want = _mp_2f1_log(a[i], b[i], c[i], z[i])
+        scalar = log_series_2f1(a[i], b[i], c[i], z[i])
+        assert isinstance(scalar, float)
+        for value in (scalar, got[i]):
+            assert abs(value - want) <= 1e-14 * max(1.0, abs(want))
+
+
 def test_near1_scaled_gamma_identity():
     # (1-z)^(a+b-c) 2F1 -> Gamma(c)Gamma(a+b-c)/(Gamma(a)Gamma(b)) as z -> 1
     rng = np.random.default_rng(5)
