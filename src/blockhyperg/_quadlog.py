@@ -1,8 +1,10 @@
 """Log-space composite Gauss-Legendre quadrature helpers.
 
 All integrands handled here are strictly positive and are supplied as
-vectorized callables returning log f(x). Integrals are accumulated with
-log-sum-exp so that values far outside double range are representable.
+vectorized callables returning log f(x), either one value per point or a
+row of K values per point for K integrals that share the bracket and the
+panels. Integrals are accumulated with log-sum-exp so that values far
+outside double range are representable.
 """
 
 from __future__ import annotations
@@ -50,8 +52,13 @@ def logsumexp(v: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _panel_log_integrals(logf, edges: np.ndarray, n: int) -> np.ndarray:
+    """log integral over each panel: shape (npanels,), or (npanels, K)
+    when logf returns K columns."""
     nodes, logw = panel_nodes(edges, n)
-    vals = logf(nodes.ravel()).reshape(nodes.shape)
+    vals = logf(nodes.ravel())
+    vals = vals.reshape(nodes.shape + vals.shape[1:])
+    if vals.ndim == 3:
+        logw = logw[..., None]
     return logsumexp(vals + logw, axis=1)
 
 
@@ -64,11 +71,16 @@ def adaptive_log_integral(
     seed_points: tuple[float, ...] = (),
     n_nodes: int = 12,
     max_panels: int = 2048,
-) -> tuple[float, float]:
+):
     """log of integral of exp(logf) over [lo, hi], with an error estimate.
 
-    Panels are split where low- and high-order GL rules disagree. seed_points
-    are inserted as initial panel edges (peak/kink locations known a priori).
+    logf maps N points to N values, or to an (N, K) array of K integrands
+    that share one panel set; the result is then a pair of length-K arrays
+    (log integrals and relative error estimates), and a pair of floats for
+    the scalar form. Panels are split where low- and high-order GL rules
+    disagree, on the largest of a panel's K relative discrepancies, until
+    every column's estimate is within rtol. seed_points are inserted as
+    initial panel edges (peak/kink locations known a priori).
     """
     if not hi > lo:
         raise ValueError("empty interval")
@@ -85,21 +97,27 @@ def adaptive_log_integral(
     for _ in range(60):
         lo_est = _panel_log_integrals(logf, edges, n_nodes)
         hi_est = _panel_log_integrals(logf, edges, 2 * n_nodes)
-        total = logsumexp(hi_est)
-        # per-panel discrepancy relative to the total
+        scalar = lo_est.ndim == 1
+        lo_est = lo_est.reshape(len(lo_est), -1)
+        hi_est = hi_est.reshape(len(hi_est), -1)
+        total = logsumexp(hi_est, axis=0)
+        # per-panel discrepancy relative to each column's total
         err_p = np.abs(np.exp(lo_est - total) - np.exp(hi_est - total))
-        err = float(err_p.sum())
-        if err <= rtol:
-            return float(total), err
+        err = err_p.sum(axis=0)
+        if np.all(err <= rtol):
+            if scalar:
+                return float(total[0]), float(err[0])
+            return total, err
         if len(edges) - 1 >= max_panels:
             break
+        err_p = err_p.max(axis=1)
         bad = err_p > max(rtol / max(len(err_p), 1), 1e-17)
         order = np.argsort(err_p)[::-1]
         split = [i for i in order if bad[i]][: max(1, len(err_p) // 3)]
         mids = 0.5 * (edges[:-1] + edges[1:])
         edges = np.sort(np.concatenate([edges, mids[split]]))
     raise NoConvergence(
-        f"1-D quadrature did not reach rtol={rtol:g} (err={err:g}, "
+        f"1-D quadrature did not reach rtol={rtol:g} (err={err.max():g}, "
         f"panels={len(edges) - 1})"
     )
 
@@ -109,32 +127,45 @@ def peak_bracket(logf, x_c: float) -> tuple[float, float, float]:
     unimodal log-integrand, and the highest point of a unit-step scan as a
     seed point for the panels.
 
-    The scan covers x_c +- 30 and moves by 30 while its highest point is at
-    an edge. A NaN value counts as not negligible. Raises NoConvergence
-    when 40 moves do not find the peak, or 40 steps of 20 do not reach a
-    negligible end.
+    logf may return an (N, K) array of K integrands, as for
+    adaptive_log_integral. The interval then covers them all: an end is
+    negligible only when every column there is 60 below that column's own
+    peak, and the seed point is the first column's peak.
+
+    The scan covers x_c +- 30 and moves by 30 while some column's highest
+    point is at an edge. A NaN value counts as not negligible. Raises
+    NoConvergence when 40 moves do not find the peaks, or 40 steps of 20
+    do not reach a negligible end on both sides.
     """
     for _ in range(40):
         grid = np.linspace(x_c - 30.0, x_c + 30.0, 61)
-        vals = logf(grid)
-        i_pk = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
-        if 0 < i_pk < 60:
+        vals = logf(grid).reshape(61, -1)
+        i_pk = np.argmax(np.where(np.isnan(vals), -np.inf, vals), axis=0)
+        if np.all((0 < i_pk) & (i_pk < 60)):
             break
-        x_c += 30.0 if i_pk == 60 else -30.0
+        x_c += 30.0 if np.any(i_pk == 60) else -30.0
     else:
         raise NoConvergence(f"integrand still rising at x = {x_c:g}")
-    x_pk, f_pk = float(grid[i_pk]), float(vals[i_pk])
+    x_pk = float(grid[i_pk[0]])
+    f_cut = vals[i_pk, np.arange(vals.shape[1])] - 60.0
+
+    def negligible(v: np.ndarray) -> np.ndarray:
+        return np.all(v.reshape(len(v), -1) < f_cut, axis=1)
+
     # the scan's last negligible points on each side, where it has them
-    low = np.flatnonzero(vals[:i_pk] < f_pk - 60.0)
-    high = np.flatnonzero(vals[i_pk:] < f_pk - 60.0)
+    neg = negligible(vals)
+    i_lo, i_hi = int(i_pk.min()), int(i_pk.max())
+    low = np.flatnonzero(neg[:i_lo])
+    high = np.flatnonzero(neg[i_hi:])
     lo = float(grid[low[-1]]) if low.size else x_c - 30.0
-    hi = float(grid[i_pk + high[0]]) if high.size else x_c + 30.0
+    hi = float(grid[i_hi + high[0]]) if high.size else x_c + 30.0
     for _ in range(40):
-        if not float(logf(np.array([lo]))[0]) < f_pk - 60.0:
-            lo -= 20.0
-        elif not float(logf(np.array([hi]))[0]) < f_pk - 60.0:
-            hi += 20.0
-        else:
+        done = negligible(logf(np.array([lo, hi])))
+        if done.all():
             return lo, hi, x_pk
+        if not done[0]:
+            lo -= 20.0
+        if not done[1]:
+            hi += 20.0
     raise NoConvergence(
         f"integrand still above its peak - 60 at x in [{lo:g}, {hi:g}]")

@@ -10,9 +10,11 @@ s_i = 1 - t_i coordinates (see integrate.py) so the coupling factor is
 evaluated as delta + sum rho_i s_i with delta = 1 - sum R_i^2 taken straight
 from the residual sum of squares; that keeps the extreme near-unit-R^2
 regimes exact. For every k the integrals go through the gamma-mixture 1-D
-reduction (integrate.block_integrals_gamma1d). A Laplace approximation of
-the same integral is provided for large n, with the small-a
-single-predictor adjustment.
+reduction (integrate.block_integrals_gamma1d), which evaluates the Bayes
+factor integral and every block's shrinkage numerator in one shared pass.
+The sigma^2 density likewise gets its normalizer and mean numerator from
+one two-column integral. A Laplace approximation of the same integral is
+provided for large n, with the small-a single-predictor adjustment.
 """
 
 from __future__ import annotations
@@ -100,8 +102,6 @@ def _limit_posterior(prior: BlockHyperGPrior, rho: np.ndarray,
 
 
 def _block_posterior(prior: BlockHyperGPrior, fit: FitSummary, *,
-                     seed: int = 0,
-                     budget: int = integrate.DEFAULT_BUDGET,
                      method: str = "auto",
                      rtol: float = 1e-7,
                      ) -> ShrinkagePosterior:
@@ -147,43 +147,39 @@ def _block_posterior(prior: BlockHyperGPrior, fit: FitSummary, *,
 
 
 def bf_block_hyper_g(prior: BlockHyperGPrior, fit: FitSummary, *,
-                     seed: int = 0,
-                     budget: int = integrate.DEFAULT_BUDGET,
                      method: str = "auto", rtol: float = 1e-7,
                      ) -> ShrinkagePosterior:
     """log BF(model : null) = k log((a-2)/2) + log of the t-integral.
 
     method "auto" takes the Laplace route when the gate (n >= 200, interior
     maximizer) opens and full integration otherwise; "integrate" forces
-    the gamma-mixture 1-D route, "laplace" forces the approximation. The
-    route reads neither seed nor budget.
+    the gamma-mixture 1-D route, "laplace" forces the approximation.
     """
-    return _block_posterior(prior, fit, seed=seed, budget=budget,
-                            method=method, rtol=rtol)
+    return _block_posterior(prior, fit, method=method, rtol=rtol)
 
 
 def block_shrinkage(prior: BlockHyperGPrior, fit: FitSummary, *,
-                    seed: int = 0,
-                    budget: int = integrate.DEFAULT_BUDGET,
                     method: str = "auto", rtol: float = 1e-7,
                     ) -> ShrinkagePosterior:
     """E[t_i | y] per block, from the same integrals as the BF."""
-    return _block_posterior(prior, fit, seed=seed, budget=budget,
-                            method=method, rtol=rtol)
+    return _block_posterior(prior, fit, method=method, rtol=rtol)
+
+
+def scale_blocks(beta: np.ndarray, partition: BlockPartition,
+                 t: np.ndarray) -> np.ndarray:
+    """A copy of beta with block i's coefficients scaled by t[i]."""
+    out = np.array(beta, dtype=float, copy=True)
+    for i, cols in enumerate(partition.blocks):
+        out[list(cols)] *= t[i]
+    return out
 
 
 def posterior_mean_block(prior: BlockHyperGPrior, fit: FitSummary, *,
-                         seed: int = 0,
-                         budget: int = integrate.DEFAULT_BUDGET,
                          method: str = "auto", rtol: float = 1e-7,
                          ) -> np.ndarray:
     """Blockwise shrunk LS estimate: block i gets factor E[t_i | y]."""
-    post = _block_posterior(prior, fit, seed=seed, budget=budget,
-                            method=method, rtol=rtol)
-    out = np.array(fit.beta_hat_ls, dtype=float, copy=True)
-    for i, cols in enumerate(prior.partition.blocks):
-        out[list(cols)] *= post.t_mean[i]
-    return out
+    post = _block_posterior(prior, fit, method=method, rtol=rtol)
+    return scale_blocks(fit.beta_hat_ls, prior.partition, post.t_mean)
 
 
 def laplace_t_star(b: np.ndarray, r: np.ndarray, m: float) -> LaplacePoint:
@@ -371,14 +367,24 @@ class Sigma2Density:
         a_eff = max(self.alpha + float(self.nu.sum()), self.alpha, 1.0)
         self._x_c = math.log((self.rss + float(self.q.sum()))
                              / (2.0 * a_eff))
-        self._log_norm = self._log_integral(self._log_unnorm_x)
+        # the normalizer and, when the mean exists, its numerator (one more
+        # factor s2) share one bracket and one panel set
+        self._log_mean_num = None
+        if self.alpha + float(self.nu.sum()) > 1.0:
+            def logf(x: np.ndarray) -> np.ndarray:
+                return self._log_unnorm_x(x)[:, None] + np.stack(
+                    [np.zeros_like(x), x], axis=1)
+            (norm, num), _ = self._log_integral(logf)
+            self._log_norm, self._log_mean_num = float(norm), float(num)
+        else:
+            self._log_norm, _ = self._log_integral(self._log_unnorm_x)
 
-    def _log_integral(self, logf) -> float:
-        """log of the integral of exp(logf) over x = log s2."""
+    def _log_integral(self, logf):
+        """log of the integral of exp(logf) over x = log s2, and its error
+        estimate (per column for a vector-valued logf)."""
         lo, hi, x_pk = peak_bracket(logf, self._x_c)
-        val, _ = adaptive_log_integral(logf, lo, hi, rtol=1e-10,
-                                       seed_points=(x_pk,))
-        return val
+        return adaptive_log_integral(logf, lo, hi, rtol=1e-10,
+                                     seed_points=(x_pk,))
 
     def _log_unnorm(self, s2: np.ndarray) -> np.ndarray:
         s2 = np.asarray(s2, dtype=float)
@@ -405,10 +411,9 @@ class Sigma2Density:
         return self.pdf(s2)
 
     def mean(self) -> float:
-        if self.alpha + float(self.nu.sum()) <= 1.0:
+        if self._log_mean_num is None:
             raise DomainError("mean does not exist for this density")
-        val = self._log_integral(lambda x: self._log_unnorm_x(x) + x)
-        return math.exp(val - self._log_norm)
+        return math.exp(self._log_mean_num - self._log_norm)
 
     def mean_bound(self, a: float, p1: int, n: int) -> float:
         """Closed-form upper bound on the limit mean, for n > a + p1 + 1."""

@@ -1,9 +1,10 @@
 """Command-line entry point: fit, model selection, and the experiment suite.
 
-All inputs come from a JSON config file; --seed/--budget/--orthogonalize
-override the corresponding config entries. Reports are JSON with sorted
-keys plus CSV sweep tables, each embedding the config hash, seed, library
-version, and the method behind every computed number. Exit codes: 0 ok,
+All inputs come from a JSON config file; --seed/--orthogonalize override
+the corresponding config entries (the seed drives the experiments'
+simulated data; no fit or search route is random). Reports are JSON with
+sorted keys plus CSV sweep tables, each embedding the config hash, seed,
+library version, and the method behind every computed number. Exit codes: 0 ok,
 2 config error, 3 data error, 4 numerical failure, 5 budget exceeded,
 6 experiment verdict failed.
 """
@@ -101,7 +102,6 @@ def _validate_config(cfg: dict) -> dict:
             raise ConfigError(
                 "'blocks' must be a non-empty list of column-name lists")
     cfg.setdefault("seed", 0)
-    cfg.setdefault("budget", 10 ** 6)
     cfg.setdefault("orthogonalize", False)
     cfg.setdefault("output_dir", ".")
     return cfg
@@ -203,11 +203,9 @@ def cmd_fit(cfg: dict) -> int:
     else:
         a = float(prior["a"])
         bprior = blockprior.BlockHyperGPrior(a, d.partition)
-        post = blockprior.bf_block_hyper_g(bprior, fit, seed=cfg["seed"],
-                                           budget=cfg["budget"])
-        mean = np.array(fit.beta_hat_ls, dtype=float, copy=True)
-        for bi, cols in enumerate(d.partition.blocks):
-            mean[list(cols)] *= post.t_mean[bi]
+        post = blockprior.bf_block_hyper_g(bprior, fit)
+        mean = blockprior.scale_blocks(fit.beta_hat_ls, d.partition,
+                                       post.t_mean)
         report.update({
             "log_bf_null": post.log_bf_null,
             "shrinkage": post.t_mean,
@@ -233,8 +231,7 @@ def cmd_select(cfg: dict) -> int:
         raise ConfigError("model selection requires a hyper-g family prior")
     a = float(prior["a"])
     mode = cfg.get("enumeration", "block-subsets")
-    posterior, means, methods = models.evaluate_model_space(
-        d, mode, a=a, seed=cfg["seed"], budget=cfg["budget"])
+    posterior, means, methods = models.evaluate_model_space(d, mode, a=a)
     order = np.argsort(-posterior.post_prob, kind="stable")
     rows = posterior.to_rows()
     rows = [dict(rows[i], method=methods[i],
@@ -317,15 +314,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="override the config seed")
     parser.add_argument("--orthogonalize", action="store_true",
                         help="block-orthogonalize the design before use")
-    parser.add_argument("--budget", type=int, default=None,
-                        help="override the integration evaluation budget")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        if args.budget is not None:
-            cfg["budget"] = args.budget
         if args.orthogonalize:
             cfg["orthogonalize"] = True
         cfg = _validate_config(cfg)

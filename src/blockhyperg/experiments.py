@@ -310,8 +310,7 @@ def _check_budget(n_schedule, replicates) -> None:
         raise PreconditionViolated("need at least two sample sizes")
 
 
-def _selection_log_bf(d: design.CenteredDesign, cols, sizes, a, seed,
-                      ) -> float:
+def _selection_log_bf(d: design.CenteredDesign, cols, sizes, a) -> float:
     Xs = d.X[:, list(cols)]
     part = design.BlockPartition.contiguous(sizes)
     ds = design.CenteredDesign(y=d.y, X=Xs, partition=part,
@@ -322,8 +321,7 @@ def _selection_log_bf(d: design.CenteredDesign, cols, sizes, a, seed,
     fit = design.fit_least_squares(ds)
     prior = blockprior.BlockHyperGPrior(a, part)
     # medians over replicates only need ~1e-3; 1e-4 keeps each call cheap
-    return blockprior.bf_block_hyper_g(prior, fit, seed=seed,
-                                       rtol=1e-4).log_bf_null
+    return blockprior.bf_block_hyper_g(prior, fit, rtol=1e-4).log_bf_null
 
 
 def run_selection_consistency(n_schedule=(100, 400, 1600),
@@ -349,10 +347,10 @@ def run_selection_consistency(n_schedule=(100, 400, 1600),
             y = 2.0 + X @ SELECTION_BETA + rng.normal(size=n)
             d = design.center_design(
                 X, y, design.BlockPartition.contiguous(SELECTION_POOL))
-            lb_t = _selection_log_bf(d, *SELECTION_CASES["truth"], a, seed)
+            lb_t = _selection_log_bf(d, *SELECTION_CASES["truth"], a)
             for name in samples:
                 cols, sizes = SELECTION_CASES[name]
-                lb = _selection_log_bf(d, cols, sizes, a, seed)
+                lb = _selection_log_bf(d, cols, sizes, a)
                 samples[name].append(lb - lb_t)
         for name, vals in samples.items():
             arr = np.asarray(vals)
@@ -397,7 +395,7 @@ def run_prediction_consistency(n_schedule=(100, 400, 1600),
             d = design.center_design(
                 X, y, design.BlockPartition.contiguous(PREDICTION_POOL))
             posterior, means, _ = models.evaluate_model_space(
-                d, "block-subsets", a=a, seed=seed, rtol=1e-4)
+                d, "block-subsets", a=a, rtol=1e-4)
             pred = models.bma_predict(x_star, posterior, means, d.x_means,
                                       d.y_mean)
             errs.append(abs(pred - truth_val))

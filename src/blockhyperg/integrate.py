@@ -13,6 +13,8 @@ term delta + rho.s exact even when individual R_i^2 round to 1.
 The library computes them with block_integrals_gamma1d for every k: a
 gamma mixture over a radial scale lam reduces each J(e) to one integral
 over log lam, whose integrand is a product of lower incomplete gammas.
+J(0) and the k integrals J(e_i) differ only in one shape each, so all k+1
+are one vector-valued integral on one bracket and one panel set.
 Graded-panel tensor Gauss-Legendre (block_integrals_quadrature, k <= 3)
 and randomized scrambled-Sobol QMC (block_integrals_qmc) stay as
 independent references for the tests.
@@ -386,6 +388,32 @@ def _radial_logf(beta: np.ndarray, rho: np.ndarray, delta: float, m: float):
     return logf
 
 
+def _radial_logf_columns(beta: np.ndarray, rho: np.ndarray, delta: float,
+                         m: float):
+    """The integrands of _radial_logf for J(0) and every J(e_i), as k+1
+    columns, from the 2k incomplete-gamma ratios at beta and beta + 1."""
+    k = len(beta)
+    shapes = np.concatenate([beta, beta + 1.0])
+    lgm = math.lgamma(m)
+    diag = np.arange(k)
+
+    def logf(x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = np.exp(x)
+            arg = lam[:, None] * rho
+            ratio = log_inc_gamma_ratio(shapes, np.concatenate([arg, arg],
+                                                               axis=1))
+            base, bumped = ratio[:, :k], ratio[:, k:]
+            # each bumped column is its own sum with entry i swapped, not
+            # the base sum minus one term: far out both are -inf
+            swap = np.repeat(base[:, None, :], k, axis=1)
+            swap[:, diag, diag] = bumped
+            sums = np.concatenate([base.sum(axis=1)[:, None],
+                                   swap.sum(axis=2)], axis=1)
+            return (m * x - lam * delta - lgm)[:, None] + sums
+    return logf
+
+
 def _radial_center(bpow: np.ndarray, rho: np.ndarray, delta: float,
                    m: float) -> float:
     """Expected peak of the radial profile in x = log lam: lam ~ m over
@@ -401,9 +429,11 @@ def block_integrals_gamma1d(bpow: np.ndarray, rho: np.ndarray, delta: float,
 
     (delta + rho.s)^(-m) = 1/Gamma(m) int lam^(m-1) exp(-lam (delta + rho.s))
     turns each axis into gamma(b_i+1, lam rho_i) / (lam rho_i)^(b_i+1), so
-    J(0) and each J(e_i) is one integral over x = log lam, for any k. Each
-    of the k+1 runs at rtol/10; the reported error is the largest of their
-    estimates and n_evals counts every integrand point.
+    J(0) and each J(e_i) is one integral over x = log lam, for any k. All
+    k+1 share one bracket and one panel set: one vector-valued adaptive
+    pass at rtol/10, whose integrand evaluates the 2k incomplete-gamma
+    ratios once per node. The reported error is the largest of the k+1
+    estimates; n_evals counts nodes times k+1 integrands.
     """
     bpow = np.asarray(bpow, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -415,24 +445,16 @@ def block_integrals_gamma1d(bpow: np.ndarray, rho: np.ndarray, delta: float,
         log_i0, log_ax = _fold_inactive(bpow, active, 0.0, np.empty(0))
         return BlockIntegrals(log_i0, log_ax, 0.0, 0, "gamma1d")
     n_evals = 0
-    x_c = _radial_center(ba, ra, delta, m)
-    results, errors = [], []
-    for extra in [None] + list(range(len(ba))):
-        beta = ba + 1.0
-        if extra is not None:
-            beta[extra] += 1.0
-        radial = _radial_logf(beta, ra, delta, m)
+    radial = _radial_logf_columns(ba + 1.0, ra, delta, m)
 
-        def logf(x: np.ndarray) -> np.ndarray:
-            nonlocal n_evals
-            n_evals += x.size
-            return radial(x)
+    def logf(x: np.ndarray) -> np.ndarray:
+        nonlocal n_evals
+        n_evals += x.size * (len(ba) + 1)
+        return radial(x)
 
-        lo, hi, x_pk = peak_bracket(logf, x_c)
-        val, err = adaptive_log_integral(logf, lo, hi, rtol=0.1 * rtol,
-                                         seed_points=(x_pk,))
-        results.append(val)
-        errors.append(err)
-    log_i0, log_ax = _fold_inactive(bpow, active, results[0],
-                                    np.asarray(results[1:]))
-    return BlockIntegrals(log_i0, log_ax, max(errors), n_evals, "gamma1d")
+    lo, hi, x_pk = peak_bracket(logf, _radial_center(ba, ra, delta, m))
+    vals, errs = adaptive_log_integral(logf, lo, hi, rtol=0.1 * rtol,
+                                       seed_points=(x_pk,))
+    log_i0, log_ax = _fold_inactive(bpow, active, float(vals[0]), vals[1:])
+    return BlockIntegrals(log_i0, log_ax, float(errs.max()), n_evals,
+                          "gamma1d")

@@ -155,8 +155,7 @@ def posterior_model_probs(models: list[ModelSpec],
 
 
 def model_inference(d: design.CenteredDesign, spec: ModelSpec,
-                    mode: str, a: float = 3.0, *, seed: int = 0,
-                    budget: int = 10**6, rtol: float = 1e-7,
+                    mode: str, a: float = 3.0, *, rtol: float = 1e-7,
                     ) -> tuple[float, np.ndarray, str]:
     """log BF vs null, full-length posterior coefficient mean, and the
     method label of the evidence computation.
@@ -194,12 +193,9 @@ def model_inference(d: design.CenteredDesign, spec: ModelSpec,
             ds, T = design.block_orthogonalize(ds)
         fit = design.fit_least_squares(ds)
         prior = blockprior.BlockHyperGPrior(a, part)
-        post = blockprior.bf_block_hyper_g(prior, fit, seed=seed,
-                                           budget=budget, rtol=rtol)
+        post = blockprior.bf_block_hyper_g(prior, fit, rtol=rtol)
         log_bf = post.log_bf_null
-        kappa = np.array(fit.beta_hat_ls, dtype=float, copy=True)
-        for bi, bcols in enumerate(part.blocks):
-            kappa[list(bcols)] *= post.t_mean[bi]
+        kappa = blockprior.scale_blocks(fit.beta_hat_ls, part, post.t_mean)
         beta = kappa if T is None else np.linalg.solve(T, kappa)
         method = post.method
     else:
@@ -210,8 +206,7 @@ def model_inference(d: design.CenteredDesign, spec: ModelSpec,
 
 
 def evaluate_model_space(d: design.CenteredDesign, mode: str,
-                         a: float = 3.0, *, seed: int = 0,
-                         budget: int = 10**6, rtol: float = 1e-7,
+                         a: float = 3.0, *, rtol: float = 1e-7,
                          prior: str | np.ndarray = "uniform",
                          ) -> tuple[ModelPosterior, np.ndarray, list[str]]:
     """Score every enumerated model; returns the posterior, a matrix of
@@ -232,8 +227,6 @@ def evaluate_model_space(d: design.CenteredDesign, mode: str,
     methods = []
     for i, spec in enumerate(models):
         log_bfs[i], means[i], meth = model_inference(d, spec, mode, a,
-                                                     seed=seed,
-                                                     budget=budget,
                                                      rtol=rtol)
         methods.append(meth)
     return posterior_model_probs(models, log_bfs, prior), means, methods

@@ -21,13 +21,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
+from scipy.special import gammainc, gammaincc, gammaln
 
 from ._quadlog import adaptive_log_integral
 from .errors import DomainError, NoConvergence
 
 _SERIES_BUDGET = 2_000_000
 _LOG_HUGE = 700.0
+# log_inc_gamma_ratio takes scipy's gammainc up to this shape and down to
+# this value; beyond either the series is the more accurate route
+_GAMMAINC_MAX_SHAPE = 30.0
+_GAMMAINC_FLOOR = 1e-30
 
 
 def _validate(a: float, b: float, c: float, z: float) -> None:
@@ -121,6 +125,12 @@ def _log_euler_quad(a: float, b: float, c: float, z: float,
     endpoint power laws t^{b-1} and (1-t)^{c-b-1} are resolved exactly, and
     1 - t z is evaluated as one_minus_z + z*(1-t) near t = 1 (no cancellation
     even when 1-z ~ 1e-16).
+
+    The right half's lower end walks down, in steps that double from 20,
+    until the integrand is 60 below the larger of its values at the
+    expected peak and at t = 1/2. Between 1-t = 1-z and 1/2 the integrand
+    decays only at rate |c-b-a| in log(1-t), which is slow when the 2F1 is
+    barely convergent at z = 1 (c-a-b small and positive).
     """
     delta = one_minus_z
     log_half = math.log(0.5)
@@ -139,11 +149,19 @@ def _log_euler_quad(a: float, b: float, c: float, z: float,
         x_peak = math.log(min(0.5, max(w_peak, 1e-300)))
     else:
         x_peak = log_half
-    lo_right = x_peak - (60.0 + abs(b - 1.0)) / beta
 
     def logf_right(x):
         w = np.exp(x)
         return beta * x + (b - 1.0) * np.log1p(-w) - a * np.log(delta + z * w)
+
+    f_cut = float(np.max(logf_right(np.array([x_peak, log_half])))) - 60.0
+    lo_right = x_peak - (60.0 + abs(b - 1.0)) / beta
+    for step in 20.0 * 2.0 ** np.arange(60):
+        if float(logf_right(np.array([lo_right]))[0]) < f_cut:
+            break
+        lo_right -= step
+    else:
+        raise NoConvergence("Euler integrand not negligible at any lower end")
 
     seeds = (x_peak,) if lo_right < x_peak < log_half else ()
     lb, eb = adaptive_log_integral(logf_right, lo_right, log_half,
@@ -281,10 +299,18 @@ def log_inc_gamma_ratio(beta, x) -> np.ndarray:
     """log[gamma(beta, x) / x^beta] = log int_0^1 s^(beta-1) e^(-x s) ds,
     elementwise over broadcast arrays with beta > 0 and x >= 0.
 
-    Below x = beta+1 the series sum_k x^k / (beta (beta+1) ... (beta+k))
-    is summed directly: its terms fall from the first one on, so nothing
-    underflows however large beta is, and log e^(-x) is added in log space.
-    Above it the upper tail gammaincc is small enough for log1p.
+    The route follows from each entry:
+    - x >= beta+1: the upper tail gammaincc is small enough for log1p;
+    - x < beta+1 with beta <= 30: gammaln(beta) + log gammainc(beta, x)
+      minus beta log x, while gammainc is above 1e-30;
+    - every other entry: the series sum_k x^k / (beta (beta+1) ...
+      (beta+k)), summed directly. Its terms fall from the first one on, so
+      nothing underflows however large beta is, and log e^(-x) is added in
+      log space.
+    The subtraction in the gammainc form loses digits in proportion to
+    |log gammainc| and to beta: about 1e-14 absolute at the two limits,
+    against 1e-12 at beta = 650. Below the floor (x = 0 included) the
+    series needs at most about a dozen terms.
     """
     beta, x = np.broadcast_arrays(np.asarray(beta, dtype=float),
                                   np.asarray(x, dtype=float))
@@ -293,6 +319,13 @@ def log_inc_gamma_ratio(beta, x) -> np.ndarray:
     bh, xh = beta[~low], x[~low]
     out[~low] = (gammaln(bh) + np.log1p(-gammaincc(bh, xh))
                  - bh * np.log(xh))
+    idx = np.flatnonzero(low & (beta <= _GAMMAINC_MAX_SHAPE))
+    bg, xg = beta.flat[idx], x.flat[idx]
+    p = gammainc(bg, xg)
+    ok = p > _GAMMAINC_FLOOR
+    bg, xg = bg[ok], xg[ok]
+    out.flat[idx[ok]] = gammaln(bg) + np.log(p[ok]) - bg * np.log(xg)
+    low.flat[idx[ok]] = False
     bl, xl = beta[low], x[low]
     total = 1.0 / bl
     term = total.copy()

@@ -113,6 +113,25 @@ class TestBlockPosterior:
                                    [0.694696969697, 0.994318181818],
                                    atol=1e-10)
 
+    def test_dominant_block_beside_an_inactive_one(self):
+        # k = 2, R_1^2 = 1 - 1e-8, R_2^2 = 0: block 2 separates into a
+        # constant, so block 1 is the single-block hyper-g posterior, whose
+        # closed forms share no step with the gamma mixture
+        import dataclasses
+        a, n, p1, p2, omr2 = 3.0, 60, 3, 2, 1e-8
+        d, fit = _ortho_fit(n, (p1, p2), np.zeros(p1 + p2), seed=14)
+        fit = dataclasses.replace(fit, r2=1.0 - omr2, one_minus_r2=omr2,
+                                  r2_blocks=np.array([1.0 - omr2, 0.0]))
+        post = bf_block_hyper_g(BlockHyperGPrior(a, d.partition), fit)
+        assert post.method == "gamma1d"
+        assert 1.0 - post.t_mean[0] < 1e-8
+        assert post.t_mean[0] == pytest.approx(
+            shrinkage_hyper_g_stats(a, n, p1, 1.0 - omr2, omr2), abs=1e-15)
+        assert post.t_mean[1] == pytest.approx(2.0 / (a + p2), rel=1e-12)
+        assert post.log_bf_null == pytest.approx(
+            log_bf_hyper_g_stats(a, n, p1, 1.0 - omr2, omr2)
+            + math.log((a - 2.0) / (a + p2 - 2.0)), abs=1e-7)
+
     def test_requires_block_orthogonal(self):
         rng = np.random.default_rng(4)
         d = center_design(rng.normal(size=(30, 4)), rng.normal(size=30),

@@ -65,6 +65,13 @@ class TestConfigErrors:
                "blocks": []}
         assert _run(tmp_path, cfg) == EXIT_CONFIG
 
+    def test_budget_flag_is_rejected(self, tmp_path, capsys):
+        # no route has an evaluation budget, so the flag is not accepted
+        with pytest.raises(SystemExit) as exc:
+            _run(tmp_path, {"mode": "experiment:els"}, ["--budget", "10"])
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
     def test_select_rejects_fixed_g(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         _write_csv(data)

@@ -228,6 +228,37 @@ class TestAgainstMpmath:
                 assert s == pytest.approx(want_s, rel=1e-12)
 
 
+class TestBoundedBand:
+    """n < p+a-1, where the 2F1 is barely convergent at R^2 = 1."""
+
+    A, N, P = 3.1147, 25, 23
+
+    def test_continuous_at_unit_r2(self):
+        # the value at 1-R^2 = 1e-300 agrees with the R^2 = 1 limit: the
+        # gap is of order (1e-300)^(c-a-b) with c-a-b = 0.057
+        a, n, p = self.A, self.N, self.P
+        assert log_bf_hyper_g_stats(a, n, p, 1.0, 1e-300) == pytest.approx(
+            log_bf_hyper_g_stats(a, n, p, 1.0, 0.0), rel=1e-10)
+        limit = shrinkage_hyper_g_stats(a, n, p, 1.0, 0.0)
+        assert limit == pytest.approx(2.0 / (p + a - n + 1.0), rel=1e-14)
+        assert shrinkage_hyper_g_stats(a, n, p, 1.0, 1e-300) == \
+            pytest.approx(limit, rel=1e-10)
+
+    @pytest.mark.parametrize("omr2", [1e-8, 1e-34])
+    def test_matches_mpmath(self, omr2):
+        a, n, p = self.A, self.N, self.P
+        with mpmath.workdps(80):
+            m, c = mpmath.mpf(n - 1) / 2, mpmath.mpf(a + p) / 2
+            z = 1 - mpmath.mpf(omr2)
+            f1 = mpmath.hyp2f1(m, 1, c, z)
+            want_bf = float(mpmath.log((a - 2) / (p + a - 2) * f1))
+            want_s = float(2 / (p + a) * mpmath.hyp2f1(m, 2, c + 1, z) / f1)
+        assert log_bf_hyper_g_stats(a, n, p, 1.0 - omr2, omr2) == \
+            pytest.approx(want_bf, rel=1e-10)
+        assert shrinkage_hyper_g_stats(a, n, p, 1.0 - omr2, omr2) == \
+            pytest.approx(want_s, rel=1e-10)
+
+
 class TestShrinkage:
     def test_ratio_of_2f1(self):
         a, n, p, r2 = 3.0, 30, 4, 0.55

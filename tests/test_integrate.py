@@ -9,7 +9,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from blockhyperg._quadlog import logsumexp
+from blockhyperg._quadlog import (adaptive_log_integral, logsumexp,
+                                  peak_bracket)
 from blockhyperg.errors import IntegralDiverges, NoConvergence
 from blockhyperg.integrate import (block_integrals_gamma1d,
                                    block_integrals_qmc,
@@ -109,6 +110,53 @@ class TestProductionRoute:
         assert 0.0 <= res.error <= 0.1 * rtol
         assert res.log_i0 == pytest.approx(oracle.log_i0, abs=rtol)
         np.testing.assert_allclose(res.t_mean, oracle.t_mean, atol=rtol)
+
+
+class TestVectorQuadrature:
+    # exp(a x - b e^x) integrates to Gamma(a) / b^a over the real line
+    COLS = [(2.0, 1.0), (3.5, 0.2), (0.7, 5.0)]
+
+    @staticmethod
+    def _logf(a, b):
+        return lambda x: a * x - b * np.exp(x)
+
+    def _many(self, x):
+        return np.stack([self._logf(a, b)(x) for a, b in self.COLS], axis=1)
+
+    @pytest.mark.parametrize("rtol", [1e-12, 1e-6])
+    def test_columns_match_scalar_passes(self, rtol):
+        lo, hi, x_pk = peak_bracket(self._many, 0.0)
+        vals, errs = adaptive_log_integral(self._many, lo, hi, rtol=rtol,
+                                           seed_points=(x_pk,))
+        assert vals.shape == errs.shape == (len(self.COLS),)
+        assert np.all(errs <= rtol)
+        for j, (a, b) in enumerate(self.COLS):
+            f = self._logf(a, b)
+            lo1, hi1, pk1 = peak_bracket(f, 0.0)
+            # the shared bracket covers each column's own
+            assert lo <= lo1 and hi >= hi1
+            val, err = adaptive_log_integral(f, lo1, hi1, rtol=rtol,
+                                             seed_points=(pk1,))
+            # a scalar integrand gets plain floats back
+            assert all(type(v) is float for v in (lo1, hi1, pk1, val, err))
+            assert vals[j] == pytest.approx(val, abs=rtol)
+            exact = math.lgamma(a) - a * math.log(b)
+            assert vals[j] == pytest.approx(exact, abs=rtol)
+            assert val == pytest.approx(exact, abs=rtol)
+
+    def test_bracket_waits_for_the_slowest_column(self):
+        # the second column decays at rate 0.2 to the left: the shared
+        # lower end must walk far past where the first column is negligible
+        def two(x):
+            return np.stack([2.0 * x - np.exp(x), 0.2 * x - np.exp(x)],
+                            axis=1)
+        lo, hi, x_pk = peak_bracket(two, 0.0)
+        assert x_pk == pytest.approx(math.log(2.0), abs=0.5)
+        # every column is 60 below its own peak at both ends
+        peaks = np.array([2.0 * math.log(2.0) - 2.0,
+                          0.2 * math.log(0.2) - 0.2])
+        assert np.all(two(np.array([lo, hi])) < peaks - 60.0)
+        assert lo < -250.0
 
 
 class TestQmc:

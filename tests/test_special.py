@@ -168,3 +168,45 @@ def test_inc_gamma_ratio_matches_scalar_routine():
     # x = 0 is the s-integral of s^(beta-1): 1/beta
     np.testing.assert_allclose(log_inc_gamma_ratio(beta[:, 0], 0.0),
                                -np.log(beta[:, 0]), rtol=1e-15)
+
+
+@pytest.mark.parametrize("beta", [0.3, 2.0, 29.5, 30.5, 120.0])
+def test_inc_gamma_ratio_route_switches_against_mpmath(beta):
+    # the route changes at beta = 30 (gammainc or series), at x = beta+1
+    # (lower or upper function) and where gammainc(beta, x) ~ x^beta /
+    # Gamma(beta+1) falls below 1e-30 (series); x = 0 gives 1/beta
+    xs = [0.0, 1e-300, 1e-3, 0.5 * (beta + 1.0), beta + 1.0 - 1e-3,
+          beta + 1.0 + 1e-3, 3.0 * beta + 10.0]
+    x_floor = (1e-30 * math.gamma(beta + 1.0)) ** (1.0 / beta)
+    if x_floor > 0.0:
+        xs += [0.5 * x_floor, 2.0 * x_floor]
+    got = log_inc_gamma_ratio(beta, np.array(xs))
+    for x, g in zip(xs, got):
+        want = (-math.log(beta) if x == 0.0 else float(
+            mpmath.log(mpmath.gammainc(beta, 0, x)) - beta * mpmath.log(x)))
+        # scalar and 0-d inputs take the same routes as arrays
+        one = log_inc_gamma_ratio(np.array(beta), np.array(x))
+        assert one.shape == ()
+        for v in (g, float(log_inc_gamma_ratio(beta, x)), float(one)):
+            assert abs(v - want) <= 5e-14 * max(1.0, abs(want)), (beta, x)
+
+
+def _mp_2f1_log_hp(a, b, c, one_minus_z):
+    # 1-z down to 1e-34 needs the working precision to carry z itself
+    with mpmath.workdps(80):
+        return float(mpmath.log(mpmath.hyp2f1(
+            a, b, c, 1 - mpmath.mpf(one_minus_z))))
+
+
+@pytest.mark.parametrize("one_minus_z", [1e-8, 1e-34])
+def test_hyp2f1_log_barely_convergent_at_unit_argument(one_minus_z):
+    # c-a-b = 0.057: the hyper-g bounded regime at a = 3.1147, n = 25,
+    # p = 23. Between 1-t = 1-z and 1/2 the Euler integrand decays only at
+    # rate c-a-b, so the right half must reach far below t = 1/2
+    a_hg, n, p = 3.1147, 25, 23
+    for a, b, c in [(12.0, 1.0, 13.057),
+                    (0.5 * (n - 1), 1.0, 0.5 * (a_hg + p)),
+                    (0.5 * (n - 1), 2.0, 0.5 * (a_hg + p) + 1.0)]:
+        got = hyp2f1_log(a, b, c, 1.0 - one_minus_z, one_minus_z=one_minus_z)
+        want = _mp_2f1_log_hp(a, b, c, one_minus_z)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
