@@ -8,9 +8,9 @@ experiment harness for the limiting regimes.
 
 from .blockprior import (BlockHyperGPrior, LaplacePoint, ShrinkagePosterior,
                          Sigma2Density, bf_block_hyper_g, bf_laplace,
-                         block_shrinkage, clp_lower_bound,
-                         laplace_applicable, laplace_t_star, log_bf_laplace,
-                         posterior_mean_block, sigma2_density_exact_block,
+                         clp_lower_bound, laplace_applicable, laplace_t_star,
+                         log_bf_laplace, scale_blocks,
+                         sigma2_density_exact_block,
                          sigma2_density_limit_block)
 from .design import (BlockPartition, CenteredDesign, FitSummary,
                      block_orthogonalize, center_design,
@@ -69,7 +69,6 @@ __all__ = [
     "bf_laplace",
     "bf_ratio_hyper_g",
     "block_orthogonalize",
-    "block_shrinkage",
     "bma_predict",
     "center_design",
     "check_block_orthogonality",
@@ -85,9 +84,9 @@ __all__ = [
     "log_bf_laplace",
     "log_bf_ratio_hyper_g",
     "model_inference",
-    "posterior_mean_block",
     "posterior_mean_hyper_g",
     "posterior_model_probs",
+    "scale_blocks",
     "shrinkage_hyper_g",
     "shrinkage_hyper_g_stats",
     "sigma2_density_exact_block",

@@ -15,6 +15,11 @@ factor integral and every block's shrinkage numerator in one shared pass.
 The sigma^2 density likewise gets its normalizer and mean numerator from
 one two-column integral. A Laplace approximation of the same integral is
 provided for large n, with the small-a single-predictor adjustment.
+
+bf_block_hyper_g is the one entry point for a block posterior: it returns
+the log Bayes factor and every block's E[t_i | y] together. It takes the
+Laplace route when the large-n gate opens, and the gamma-mixture route
+otherwise or when Laplace refuses; each route is one private function.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from ._quadlog import adaptive_log_integral, peak_bracket
 from .design import BlockPartition, FitSummary
 from .errors import (DomainError, IntegralDiverges, NoConvergence,
                      NotBlockOrthogonal, OutOfInterior)
-from .hyperg import HyperGPrior
 from .special import log_inc_gamma_ratio
 
 
@@ -101,30 +105,14 @@ def _limit_posterior(prior: BlockHyperGPrior, rho: np.ndarray,
                               method="limit", error_estimate=0.0)
 
 
-def _block_posterior(prior: BlockHyperGPrior, fit: FitSummary, *,
-                     method: str = "auto",
-                     rtol: float = 1e-7,
-                     ) -> ShrinkagePosterior:
-    _require_block_orthogonal(fit)
-    _check_partition(prior, fit)
-    if method not in ("auto", "integrate", "laplace"):
-        raise DomainError(f"unknown method {method!r}")
+def _integrated_posterior(prior: BlockHyperGPrior, fit: FitSummary,
+                          rtol: float) -> ShrinkagePosterior:
+    """The posterior from the gamma-mixture integrals, with the limit
+    sentinel when the integral diverges at unit R^2."""
     a = prior.a
     k = prior.k
-    bpow = prior.b_powers()
     rho = np.clip(np.asarray(fit.r2_blocks, dtype=float), 0.0, 1.0)
     delta = max(float(fit.one_minus_r2), 0.0)
-    m = 0.5 * (fit.n - 1)
-    if method == "laplace":
-        return _laplace_posterior(prior, fit)
-    if (method == "auto" and delta > 0.0
-            and laplace_applicable(prior, fit)):
-        try:
-            return _laplace_posterior(prior, fit)
-        except OutOfInterior:
-            # the bumped-exponent integrals for E[t_i|y] can lose their
-            # interior maximizer even when the base one passes the gate
-            pass
     if delta <= 0.0:
         thresh = _divergence_threshold(a, k, fit.p)
         if fit.n > thresh:
@@ -133,7 +121,8 @@ def _block_posterior(prior: BlockHyperGPrior, fit: FitSummary, *,
             raise IntegralDiverges(
                 "unit R^2 at the exact propriety boundary "
                 f"n = k(a-2)+p+1 = {thresh}")
-    res = integrate.block_integrals_gamma1d(bpow, rho, delta, m, rtol=rtol)
+    res = integrate.block_integrals_gamma1d(prior.b_powers(), rho, delta,
+                                            0.5 * (fit.n - 1), rtol=rtol)
     t_mean = res.t_mean
     floor = 2.0 / (a + np.asarray(prior.partition.sizes, dtype=float))
     if np.any(t_mean < floor - 1e-6) or np.any(t_mean > 1.0):
@@ -147,22 +136,27 @@ def _block_posterior(prior: BlockHyperGPrior, fit: FitSummary, *,
 
 
 def bf_block_hyper_g(prior: BlockHyperGPrior, fit: FitSummary, *,
-                     method: str = "auto", rtol: float = 1e-7,
-                     ) -> ShrinkagePosterior:
-    """log BF(model : null) = k log((a-2)/2) + log of the t-integral.
+                     rtol: float = 1e-7) -> ShrinkagePosterior:
+    """The block posterior: log BF(model : null) = k log((a-2)/2) + log of
+    the t-integral, and every block's shrinkage E[t_i | y] from the same
+    integrals.
 
-    method "auto" takes the Laplace route when the gate (n >= 200, interior
-    maximizer) opens and full integration otherwise; "integrate" forces
-    the gamma-mixture 1-D route, "laplace" forces the approximation.
+    The Laplace route answers when 1-R^2 > 0 and its gate (n >= 200,
+    interior maximizer) opens; if a bumped-exponent integral then loses
+    its interior maximizer, the gamma-mixture 1-D route answers instead.
+    Block i of the posterior mean of beta is block i of the LS estimate
+    times t_mean[i] (`scale_blocks`).
     """
-    return _block_posterior(prior, fit, method=method, rtol=rtol)
-
-
-def block_shrinkage(prior: BlockHyperGPrior, fit: FitSummary, *,
-                    method: str = "auto", rtol: float = 1e-7,
-                    ) -> ShrinkagePosterior:
-    """E[t_i | y] per block, from the same integrals as the BF."""
-    return _block_posterior(prior, fit, method=method, rtol=rtol)
+    _require_block_orthogonal(fit)
+    _check_partition(prior, fit)
+    if fit.one_minus_r2 > 0.0 and laplace_applicable(prior, fit):
+        try:
+            return _laplace_posterior(prior, fit)
+        except OutOfInterior:
+            # the bumped-exponent integrals for E[t_i|y] can lose their
+            # interior maximizer even when the base one passes the gate
+            pass
+    return _integrated_posterior(prior, fit, rtol)
 
 
 def scale_blocks(beta: np.ndarray, partition: BlockPartition,
@@ -172,14 +166,6 @@ def scale_blocks(beta: np.ndarray, partition: BlockPartition,
     for i, cols in enumerate(partition.blocks):
         out[list(cols)] *= t[i]
     return out
-
-
-def posterior_mean_block(prior: BlockHyperGPrior, fit: FitSummary, *,
-                         method: str = "auto", rtol: float = 1e-7,
-                         ) -> np.ndarray:
-    """Blockwise shrunk LS estimate: block i gets factor E[t_i | y]."""
-    post = _block_posterior(prior, fit, method=method, rtol=rtol)
-    return scale_blocks(fit.beta_hat_ls, prior.partition, post.t_mean)
 
 
 def laplace_t_star(b: np.ndarray, r: np.ndarray, m: float) -> LaplacePoint:
@@ -221,8 +207,20 @@ def laplace_t_star(b: np.ndarray, r: np.ndarray, m: float) -> LaplacePoint:
     return LaplacePoint(t_star=t_star, hessian=hess, log_height=log_height)
 
 
+def _laplace_raw(b: np.ndarray, r: np.ndarray, m: float,
+                 ) -> tuple[float, LaplacePoint]:
+    """Plain Laplace value of log int prod (1-t_i)^(b_i) (1-t.r)^(-m) dt
+    for strictly positive exponents (no small-a adjustment)."""
+    point = laplace_t_star(b, r, m)
+    sign, logdet = np.linalg.slogdet(-point.hessian)
+    if sign <= 0:
+        raise OutOfInterior("negated Hessian not positive definite")
+    return (point.log_height + 0.5 * len(b) * math.log(2.0 * math.pi)
+            - 0.5 * float(logdet)), point
+
+
 def _laplace_log_integral(a: float, p_i: np.ndarray, r: np.ndarray,
-                          m: float) -> tuple[float, LaplacePoint]:
+                          m: float) -> float:
     """Laplace value of log int prod (1-t_i)^(b_i) (1-t.r)^(-m) dt.
 
     For 2 < a < 3 any p_i = 1 block has b_i < 0; the integral is rewritten
@@ -241,16 +239,10 @@ def _laplace_log_integral(a: float, p_i: np.ndarray, r: np.ndarray,
                 "Laplace point, use full integration")
         adj = single & (b <= 0.0)
         b = np.where(adj, 0.5 * (a + p_i + 1.0) - 2.0, b)
-    point = laplace_t_star(b, r, m)
-    sign, logdet = np.linalg.slogdet(-point.hessian)
-    if sign <= 0:
-        raise OutOfInterior("negated Hessian not positive definite")
-    k = len(b)
-    val = (point.log_height + 0.5 * k * math.log(2.0 * math.pi)
-           - 0.5 * float(logdet))
+    val, point = _laplace_raw(b, r, m)
     if np.any(adj):
         val += float(-0.5 * np.log1p(-point.t_star[adj]).sum())
-    return val, point
+    return val
 
 
 def log_bf_laplace(prior: BlockHyperGPrior, fit_gamma: FitSummary,
@@ -268,10 +260,10 @@ def log_bf_laplace(prior: BlockHyperGPrior, fit_gamma: FitSummary,
     a = prior.a
     m_g = 0.5 * (fit_gamma.n - 1)
     m_t = 0.5 * (fit_T.n - 1)
-    val_g, _ = _laplace_log_integral(
+    val_g = _laplace_log_integral(
         a, np.asarray(fit_gamma.p_i, dtype=float),
         np.clip(fit_gamma.r2_blocks, 0.0, 1.0), m_g)
-    val_t, _ = _laplace_log_integral(
+    val_t = _laplace_log_integral(
         a, np.asarray(fit_T.p_i, dtype=float),
         np.clip(fit_T.r2_blocks, 0.0, 1.0), m_t)
     k_g, k_t = len(fit_gamma.p_i), len(part_T.sizes)
@@ -282,18 +274,6 @@ def bf_laplace(prior: BlockHyperGPrior, fit_gamma: FitSummary,
                fit_T: FitSummary,
                partition_T: BlockPartition | None = None) -> float:
     return math.exp(log_bf_laplace(prior, fit_gamma, fit_T, partition_T))
-
-
-def _laplace_raw(b: np.ndarray, r: np.ndarray, m: float,
-                 ) -> tuple[float, LaplacePoint]:
-    """Plain Laplace value of log int prod (1-t_i)^(b_i) (1-t.r)^(-m) dt
-    for strictly positive exponents (no small-a adjustment)."""
-    point = laplace_t_star(b, r, m)
-    sign, logdet = np.linalg.slogdet(-point.hessian)
-    if sign <= 0:
-        raise OutOfInterior("negated Hessian not positive definite")
-    return (point.log_height + 0.5 * len(b) * math.log(2.0 * math.pi)
-            - 0.5 * float(logdet)), point
 
 
 def _laplace_posterior(prior: BlockHyperGPrior,
@@ -330,10 +310,9 @@ def laplace_applicable(prior: BlockHyperGPrior, fit: FitSummary) -> bool:
     """Auto-selection gate: n >= 200 and every t_i* inside (0.02, 0.98)."""
     if fit.n < 200:
         return False
-    p_i = np.asarray(prior.partition.sizes, dtype=float)
-    b = 0.5 * (prior.a + p_i) - 2.0
     try:
-        point = laplace_t_star(b, np.clip(fit.r2_blocks, 0.0, 1.0),
+        point = laplace_t_star(prior.b_powers(),
+                               np.clip(fit.r2_blocks, 0.0, 1.0),
                                0.5 * (fit.n - 1))
     except (OutOfInterior, DomainError):
         return False

@@ -101,7 +101,13 @@ def _validate_config(cfg: dict) -> dict:
                 or not all(isinstance(b, list) and b for b in blocks)):
             raise ConfigError(
                 "'blocks' must be a non-empty list of column-name lists")
+    if mode == "select" and cfg.get("enumeration", "block-subsets") not in (
+            "all-subsets", "block-subsets"):
+        raise ConfigError(
+            f"unknown enumeration {cfg['enumeration']!r}; choose "
+            "all-subsets or block-subsets")
     cfg.setdefault("seed", 0)
+    _config_value(cfg, "seed", 0, int)
     cfg.setdefault("orthogonalize", False)
     cfg.setdefault("output_dir", ".")
     return cfg
@@ -253,17 +259,27 @@ def cmd_select(cfg: dict) -> int:
     return EXIT_OK
 
 
+def _config_value(cfg: dict, key: str, default, convert):
+    """convert(cfg[key]), or of the default; a value that does not convert
+    is a config error."""
+    try:
+        return convert(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config entry {key!r}: {exc}") from None
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
 def _sequence_from_config(cfg: dict) -> experiments.SequenceSpec:
-    a = float(cfg["prior"].get("a", 3.0))
-    kwargs = {}
-    if "scales" in cfg:
-        kwargs["scales"] = tuple(float(c) for c in cfg["scales"])
-    if "noise" in cfg:
-        kwargs["noise"] = float(cfg["noise"])
     return experiments.standard_sequence(
-        n=int(cfg.get("n", 50)),
-        sizes=tuple(int(s) for s in cfg.get("sizes", (2, 1))),
-        a=a, seed=int(cfg["seed"]), **kwargs)
+        n=_config_value(cfg, "n", 50, int),
+        sizes=_config_value(cfg, "sizes", (2, 1), _ints),
+        a=float(cfg["prior"].get("a", 3.0)), seed=int(cfg["seed"]),
+        scales=_config_value(cfg, "scales", experiments.DEFAULT_SCALES,
+                             lambda v: tuple(float(c) for c in v)),
+        noise=_config_value(cfg, "noise", 1.0, float))
 
 
 def cmd_experiment(cfg: dict) -> int:
@@ -277,13 +293,14 @@ def cmd_experiment(cfg: dict) -> int:
         elif name == "info":
             result = experiments.run_info_consistency(
                 spec, regime=cfg.get("regime", "divergent"),
-                fixed_g=cfg.get("fixed_g"))
+                fixed_g=_config_value(
+                    cfg, "fixed_g", None,
+                    lambda v: None if v is None else float(v)))
         else:
             result = experiments.sigma2_limit_check(spec)
     else:
-        schedule = tuple(int(n) for n in cfg.get("n_schedule",
-                                                 (100, 400, 1600)))
-        reps = int(cfg.get("replicates", 200))
+        schedule = _config_value(cfg, "n_schedule", (100, 400, 1600), _ints)
+        reps = _config_value(cfg, "replicates", 200, int)
         a = float(cfg["prior"].get("a", 3.0))
         if name == "selection":
             result = experiments.run_selection_consistency(
@@ -293,7 +310,7 @@ def cmd_experiment(cfg: dict) -> int:
             result = experiments.run_prediction_consistency(
                 n_schedule=schedule, replicates=reps,
                 seed=int(cfg["seed"]), a=a,
-                noise=float(cfg.get("noise", 1.0)))
+                noise=_config_value(cfg, "noise", 1.0, float))
     csv_path = os.path.join(cfg["output_dir"], f"{name}.csv")
     result.write_csv(csv_path)
     payload = _provenance(cfg)

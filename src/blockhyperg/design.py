@@ -245,9 +245,7 @@ def block_orthogonalize(d: CenteredDesign,
             Qprev = Q[:, cols_done]
             C = _ls_solve(Qprev, Xb)
             Qb = Xb - Qprev @ C
-            for r_pos, r_idx in enumerate(cols_done):
-                for c_pos, c_idx in enumerate(idx):
-                    T[r_idx, c_idx] = C[r_pos, c_pos]
+            T[np.ix_(cols_done, idx)] = C
         else:
             Qb = Xb
         _rank_check(Qb, f"residualized block {bi + 1}")

@@ -183,7 +183,7 @@ def run_els_experiment(spec: SequenceSpec) -> ExperimentResult:
         res.add(c, "hyperg_rel_distance", 1.0 - s)
         if c >= 1e6 and 1.0 - s >= 1e-3:
             dist_ok = False
-        post = blockprior.block_shrinkage(prior, fit)
+        post = blockprior.bf_block_hyper_g(prior, fit)
         for i in range(part.k):
             res.add(c, f"block_t_mean_{i + 1}", post.t_mean[i],
                     post.error_estimate)
@@ -290,13 +290,14 @@ def run_info_consistency(spec: SequenceSpec, regime: str = "divergent",
 # -- replicated large-n experiments -----------------------------------------
 
 SELECTION_POOL = (4, 3, 2)
-# candidate models over the 9-column pool: (columns, block sizes)
+# candidate models over the 9-column pool, by column; each keeps the pool's
+# block grouping, so its block sizes follow from SELECTION_POOL
 SELECTION_CASES = {
-    "truth": ((0, 1, 4, 5), (2, 2)),
-    "case1_missing_block": ((0, 1), (2,)),
-    "case2a_extra_in_blocks": ((0, 1, 2, 3, 4, 5, 6), (4, 3)),
-    "case2b_extra_and_new": ((0, 1, 2, 3, 4, 5, 7, 8), (4, 2, 2)),
-    "case2c_new_block_only": ((0, 1, 4, 5, 7, 8), (2, 2, 2)),
+    "truth": (0, 1, 4, 5),
+    "case1_missing_block": (0, 1),
+    "case2a_extra_in_blocks": (0, 1, 2, 3, 4, 5, 6),
+    "case2b_extra_and_new": (0, 1, 2, 3, 4, 5, 7, 8),
+    "case2c_new_block_only": (0, 1, 4, 5, 7, 8),
 }
 SELECTION_BETA = np.array(
     [1.0, -1.0, 0.0, 0.0, 0.8, 0.8, 0.0, 0.0, 0.0])
@@ -306,22 +307,11 @@ def _check_budget(n_schedule, replicates) -> None:
     if replicates > MAX_REPLICATES:
         raise SimulationBudgetExceeded(
             f"replicates {replicates} > {MAX_REPLICATES}")
+    if replicates < 1:
+        raise PreconditionViolated(
+            f"need at least one replicate, got {replicates}")
     if len(n_schedule) < 2:
         raise PreconditionViolated("need at least two sample sizes")
-
-
-def _selection_log_bf(d: design.CenteredDesign, cols, sizes, a) -> float:
-    Xs = d.X[:, list(cols)]
-    part = design.BlockPartition.contiguous(sizes)
-    ds = design.CenteredDesign(y=d.y, X=Xs, partition=part,
-                               y_mean=d.y_mean,
-                               x_means=d.x_means[list(cols)])
-    if not design.check_block_orthogonality(ds):
-        ds, _ = design.block_orthogonalize(ds)
-    fit = design.fit_least_squares(ds)
-    prior = blockprior.BlockHyperGPrior(a, part)
-    # medians over replicates only need ~1e-3; 1e-4 keeps each call cheap
-    return blockprior.bf_block_hyper_g(prior, fit, rtol=1e-4).log_bf_null
 
 
 def run_selection_consistency(n_schedule=(100, 400, 1600),
@@ -336,6 +326,10 @@ def run_selection_consistency(n_schedule=(100, 400, 1600),
     """
     _check_budget(n_schedule, replicates)
     res = ExperimentResult(name="selection", seed=seed)
+    pool = design.BlockPartition.contiguous(SELECTION_POOL)
+    specs = {name: models.ModelSpec.from_gamma(
+                 [int(c in cols) for c in range(pool.p)], pool)
+             for name, cols in SELECTION_CASES.items()}
     medians: dict[str, list[float]] = {k: [] for k in SELECTION_CASES
                                        if k != "truth"}
     iqrs: dict[str, list[float]] = {k: [] for k in medians}
@@ -345,13 +339,14 @@ def run_selection_consistency(n_schedule=(100, 400, 1600),
             rng = np.random.default_rng([seed, rep, n])
             X = rng.normal(size=(n, sum(SELECTION_POOL)))
             y = 2.0 + X @ SELECTION_BETA + rng.normal(size=n)
-            d = design.center_design(
-                X, y, design.BlockPartition.contiguous(SELECTION_POOL))
-            lb_t = _selection_log_bf(d, *SELECTION_CASES["truth"], a)
+            d = design.center_design(X, y, pool)
+            # medians over replicates only need ~1e-3; 1e-4 keeps each
+            # call cheap
+            lb = {name: models.model_inference(d, spec, "block-subsets", a,
+                                               rtol=1e-4)[0]
+                  for name, spec in specs.items()}
             for name in samples:
-                cols, sizes = SELECTION_CASES[name]
-                lb = _selection_log_bf(d, cols, sizes, a)
-                samples[name].append(lb - lb_t)
+                samples[name].append(lb[name] - lb["truth"])
         for name, vals in samples.items():
             arr = np.asarray(vals)
             med = float(np.median(arr))

@@ -170,12 +170,15 @@ def model_inference(d: design.CenteredDesign, spec: ModelSpec,
     if spec.is_null:
         return 0.0, np.zeros(p), "closed-form"
     cols = list(spec.included)
-    Xs = d.X[:, cols]
     if mode == "all-subsets":
         part = design.BlockPartition.single(len(cols))
-        ds = design.CenteredDesign(y=d.y, X=Xs, partition=part,
-                                   y_mean=d.y_mean,
-                                   x_means=d.x_means[cols])
+    elif mode == "block-subsets":
+        part = spec.induced_partition
+    else:
+        raise DomainError(f"unknown enumeration mode {mode!r}")
+    ds = design.CenteredDesign(y=d.y, X=d.X[:, cols], partition=part,
+                               y_mean=d.y_mean, x_means=d.x_means[cols])
+    if mode == "all-subsets":
         fit = design.fit_least_squares(ds)
         log_bf = hyperg.log_bf_hyper_g_stats(a, fit.n, fit.p, fit.r2,
                                              fit.one_minus_r2)
@@ -183,11 +186,7 @@ def model_inference(d: design.CenteredDesign, spec: ModelSpec,
                                                 fit.one_minus_r2)
         beta = shrink * fit.beta_hat_ls
         method = "closed-form"
-    elif mode == "block-subsets":
-        part = spec.induced_partition
-        ds = design.CenteredDesign(y=d.y, X=Xs, partition=part,
-                                   y_mean=d.y_mean,
-                                   x_means=d.x_means[cols])
+    else:
         T = None
         if not design.check_block_orthogonality(ds):
             ds, T = design.block_orthogonalize(ds)
@@ -198,8 +197,6 @@ def model_inference(d: design.CenteredDesign, spec: ModelSpec,
         kappa = blockprior.scale_blocks(fit.beta_hat_ls, part, post.t_mean)
         beta = kappa if T is None else np.linalg.solve(T, kappa)
         method = post.method
-    else:
-        raise DomainError(f"unknown enumeration mode {mode!r}")
     out = np.zeros(p)
     out[cols] = beta
     return float(log_bf), out, method
@@ -207,11 +204,10 @@ def model_inference(d: design.CenteredDesign, spec: ModelSpec,
 
 def evaluate_model_space(d: design.CenteredDesign, mode: str,
                          a: float = 3.0, *, rtol: float = 1e-7,
-                         prior: str | np.ndarray = "uniform",
                          ) -> tuple[ModelPosterior, np.ndarray, list[str]]:
     """Score every enumerated model; returns the posterior, a matrix of
     full-length posterior coefficient means (one row per model), and the
-    per-model method labels.
+    per-model method labels, under the uniform model prior.
 
     all-subsets models are scored together from one factorization
     (`_all_subsets_scores`); block-subsets models one at a time through
@@ -221,7 +217,7 @@ def evaluate_model_space(d: design.CenteredDesign, mode: str,
     if mode == "all-subsets":
         log_bfs, means = _all_subsets_scores(d, models, a)
         methods = ["closed-form"] * len(models)
-        return posterior_model_probs(models, log_bfs, prior), means, methods
+        return posterior_model_probs(models, log_bfs), means, methods
     log_bfs = np.empty(len(models))
     means = np.zeros((len(models), d.p))
     methods = []
@@ -229,7 +225,7 @@ def evaluate_model_space(d: design.CenteredDesign, mode: str,
         log_bfs[i], means[i], meth = model_inference(d, spec, mode, a,
                                                      rtol=rtol)
         methods.append(meth)
-    return posterior_model_probs(models, log_bfs, prior), means, methods
+    return posterior_model_probs(models, log_bfs), means, methods
 
 
 def _all_subsets_scores(d: design.CenteredDesign, models: list[ModelSpec],

@@ -8,10 +8,11 @@ import pytest
 
 from blockhyperg import integrate
 from blockhyperg.blockprior import (BlockHyperGPrior, Sigma2Density,
-                                    bf_block_hyper_g, bf_laplace,
-                                    block_shrinkage, clp_lower_bound,
+                                    _integrated_posterior,
+                                    _laplace_posterior, bf_block_hyper_g,
+                                    bf_laplace, clp_lower_bound,
                                     laplace_applicable, laplace_t_star,
-                                    log_bf_laplace, posterior_mean_block,
+                                    log_bf_laplace, scale_blocks,
                                     sigma2_density_exact_block,
                                     sigma2_density_limit_block)
 from blockhyperg.design import (BlockPartition, CenteredDesign,
@@ -38,7 +39,7 @@ class TestSingleBlockReduction:
         for seed in range(5):
             d, fit = _ortho_fit(40, (3,), [0.7, -0.4, 0.2], seed=seed)
             prior = BlockHyperGPrior(3.0, d.partition)
-            post = bf_block_hyper_g(prior, fit, method="integrate")
+            post = _integrated_posterior(prior, fit, 1e-7)
             want = log_bf_hyper_g_stats(3.0, fit.n, fit.p, fit.r2,
                                         fit.one_minus_r2)
             assert post.log_bf_null == pytest.approx(want, abs=1e-6)
@@ -46,7 +47,7 @@ class TestSingleBlockReduction:
     def test_shrinkage_matches_closed_form(self):
         d, fit = _ortho_fit(60, (4,), [0.5, 0.5, -0.5, 0.1], seed=3)
         prior = BlockHyperGPrior(3.4, d.partition)
-        post = block_shrinkage(prior, fit, method="integrate")
+        post = _integrated_posterior(prior, fit, 1e-7)
         want = shrinkage_hyper_g_stats(3.4, fit.n, fit.p, fit.r2,
                                        fit.one_minus_r2)
         assert post.t_mean[0] == pytest.approx(want, abs=1e-6)
@@ -56,8 +57,8 @@ class TestBlockPosterior:
     def test_posterior_mean_scales_each_block(self):
         d, fit = _ortho_fit(80, (2, 3), [1.0, -0.5, 0.3, 0.3, 0.0], seed=1)
         prior = BlockHyperGPrior(3.0, d.partition)
-        post = block_shrinkage(prior, fit)
-        mean = posterior_mean_block(prior, fit)
+        post = bf_block_hyper_g(prior, fit)
+        mean = scale_blocks(fit.beta_hat_ls, prior.partition, post.t_mean)
         np.testing.assert_allclose(mean[:2], post.t_mean[0]
                                    * fit.beta_hat_ls[:2])
         np.testing.assert_allclose(mean[2:], post.t_mean[1]
@@ -68,7 +69,7 @@ class TestBlockPosterior:
         # block 2 carries no signal: its shrinkage stays near the floor
         d, fit = _ortho_fit(400, (2, 2), [2.0, -2.0, 0.0, 0.0], seed=2)
         prior = BlockHyperGPrior(3.0, d.partition)
-        post = block_shrinkage(prior, fit, method="integrate")
+        post = _integrated_posterior(prior, fit, 1e-7)
         floor = 2.0 / (3.0 + 2.0)
         assert post.t_mean[1] >= floor - 1e-12
         assert post.t_mean[1] < 0.7
@@ -85,7 +86,7 @@ class TestBlockPosterior:
             d, fit = _ortho_fit(35, sizes, beta, seed=100 + trial)
             a = float(rng.uniform(2.2, 4.0))
             prior = BlockHyperGPrior(a, d.partition)
-            post = block_shrinkage(prior, fit, method="integrate")
+            post = _integrated_posterior(prior, fit, 1e-7)
             m = 0.5 * (fit.n - 1)
             for i in range(2):
                 r_m = float(fit.r2_blocks[i])
@@ -104,8 +105,8 @@ class TestBlockPosterior:
         d, fit = _ortho_fit(1201, (402, 2), np.zeros(404), seed=3)
         fit = dataclasses.replace(fit, r2=0.7, one_minus_r2=0.3,
                                   r2_blocks=np.array([0.5, 0.2]))
-        post = bf_block_hyper_g(BlockHyperGPrior(3.0, d.partition), fit,
-                                method="integrate")
+        post = _integrated_posterior(BlockHyperGPrior(3.0, d.partition),
+                                     fit, 1e-7)
         assert post.method == "gamma1d"
         assert post.log_bf_null == pytest.approx(
             2.0 * math.log(0.5) + 226.494230596882, abs=1e-10)
@@ -146,7 +147,8 @@ class TestBlockPosterior:
         with pytest.raises(DomainError):
             bf_block_hyper_g(BlockHyperGPrior(
                 3.0, BlockPartition.contiguous((1, 3))), fit)
-        with pytest.raises(DomainError):
+        # one entry point: there is no route keyword to pass
+        with pytest.raises(TypeError):
             bf_block_hyper_g(BlockHyperGPrior(3.0, d.partition),
                              fit, method="exact")
 
@@ -226,8 +228,8 @@ class TestLaplace:
         d, fit = _ortho_fit(2000, (4, 5), 0.05 * rng.normal(size=9),
                             seed=9)
         prior = BlockHyperGPrior(3.5, d.partition)
-        exact = bf_block_hyper_g(prior, fit, method="integrate")
-        lap = bf_block_hyper_g(prior, fit, method="laplace")
+        exact = _integrated_posterior(prior, fit, 1e-7)
+        lap = _laplace_posterior(prior, fit)
         assert lap.method == "laplace"
         assert lap.log_bf_null == pytest.approx(exact.log_bf_null,
                                                 rel=0.05)
@@ -242,9 +244,9 @@ class TestLaplace:
         assert got == pytest.approx(0.0)  # same model both sides
         # against the full model vs a sub-block reference
         d2, fit2 = _ortho_fit(1500, (3,), [0.05, -0.05, 0.06], seed=11)
-        exact = (bf_block_hyper_g(prior, fit, method="integrate").log_bf_null
-                 - bf_block_hyper_g(BlockHyperGPrior(2.6, d2.partition),
-                                    fit2, method="integrate").log_bf_null)
+        exact = (_integrated_posterior(prior, fit, 1e-7).log_bf_null
+                 - _integrated_posterior(BlockHyperGPrior(2.6, d2.partition),
+                                         fit2, 1e-7).log_bf_null)
         got = log_bf_laplace(prior, fit, fit2, d2.partition)
         assert got == pytest.approx(exact, abs=0.3)
         assert bf_laplace(prior, fit, fit2, d2.partition) == pytest.approx(
@@ -254,7 +256,7 @@ class TestLaplace:
         d, fit = _ortho_fit(500, (1, 2), [0.1, 0.1, 0.1], seed=12)
         prior = BlockHyperGPrior(3.0, d.partition)
         with pytest.raises(OutOfInterior):
-            bf_block_hyper_g(prior, fit, method="laplace")
+            _laplace_posterior(prior, fit)
 
     def test_gate(self):
         d_small, fit_small = _ortho_fit(100, (2, 2), [0.3, 0.3, 0.3, 0.3])
@@ -268,6 +270,27 @@ class TestLaplace:
         assert laplace_applicable(prior, fit_w)
         assert bf_block_hyper_g(prior, fit_w).method == "laplace"
         assert bf_block_hyper_g(prior, fit_big).method == "gamma1d"
+
+
+    def test_fallback_when_laplace_refuses(self):
+        # the gate opens in both fits; at seed 0 a bumped-exponent
+        # maximizer leaves the interior, so the 1-D route answers
+        for seed, route in ((0, "gamma1d"), (5, "laplace")):
+            d, fit = _ortho_fit(400, (2, 2), [0.3, 0.3, 0.05, 0.05],
+                                seed=seed)
+            prior = BlockHyperGPrior(3.0, d.partition)
+            assert laplace_applicable(prior, fit)
+            post = bf_block_hyper_g(prior, fit)
+            assert post.method == route
+            if route == "gamma1d":
+                with pytest.raises(OutOfInterior):
+                    _laplace_posterior(prior, fit)
+                want = _integrated_posterior(prior, fit, 1e-7)
+            else:
+                want = _laplace_posterior(prior, fit)
+            assert post.log_bf_null == want.log_bf_null
+            np.testing.assert_array_equal(post.t_mean, want.t_mean)
+            assert post.error_estimate == want.error_estimate
 
 
 class TestSigma2:

@@ -72,6 +72,36 @@ class TestConfigErrors:
         assert exc.value.code == 2
         assert "--budget" in capsys.readouterr().err
 
+    def test_unknown_enumeration(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        _write_csv(data)
+        cfg = {"mode": "select", "data": str(data), "response": "y",
+               "blocks": [["x1", "x2"], ["x3"]], "enumeration": "bogus",
+               "output_dir": str(tmp_path)}
+        assert _run(tmp_path, cfg) == EXIT_CONFIG
+        assert "blockhyperg:error:ConfigError:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_replicates_below_one(self, tmp_path, capsys, reps):
+        cfg = {"mode": "experiment:selection", "replicates": reps,
+               "n_schedule": [60, 120], "output_dir": str(tmp_path)}
+        assert _run(tmp_path, cfg) == EXIT_CONFIG
+        assert ("blockhyperg:error:PreconditionViolated:"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("entry", [
+        {"mode": "experiment:selection", "replicates": "many"},
+        {"mode": "experiment:prediction", "n_schedule": [60, "lots"]},
+        {"mode": "experiment:els", "n": "big"},
+        {"mode": "experiment:els", "seed": "first"},
+        {"mode": "experiment:clp", "scales": [1.0, "ten"]},
+        {"mode": "experiment:info", "fixed_g": "huge"},
+    ])
+    def test_non_numeric_entry(self, tmp_path, capsys, entry):
+        assert _run(tmp_path, dict(entry, output_dir=str(tmp_path))) \
+            == EXIT_CONFIG
+        assert "blockhyperg:error:ConfigError:" in capsys.readouterr().err
+
     def test_select_rejects_fixed_g(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         _write_csv(data)

@@ -11,7 +11,7 @@ import pytest
 
 from blockhyperg._quadlog import (adaptive_log_integral, logsumexp,
                                   peak_bracket)
-from blockhyperg.errors import IntegralDiverges, NoConvergence
+from blockhyperg.errors import DomainError, IntegralDiverges, NoConvergence
 from blockhyperg.integrate import (block_integrals_gamma1d,
                                    block_integrals_qmc,
                                    block_integrals_quadrature)
@@ -218,13 +218,20 @@ class TestEdgeCases:
             block_integrals_gamma1d(bpow, rho, 0.0, 10.0)
 
     def test_delta_zero_proper_case(self):
-        # m below the propriety threshold: finite even at delta = 0
+        # m below the propriety threshold: finite even at delta = 0. The
+        # oracle is a direct 2-D mpmath quadrature of J(0); the tensor
+        # reference refuses delta = 0, where its grids miss mass
         bpow = np.array([1.5, 2.0])
         rho = np.array([0.7, 0.3])
         m = 3.0  # sum(b+1) = 6.5 > m
-        quad = block_integrals_quadrature(bpow, rho, 0.0, m)
+        want = float(mpmath.log(mpmath.quad(
+            lambda s1, s2: (s1 ** bpow[0] * s2 ** bpow[1]
+                            * (rho[0] * s1 + rho[1] * s2) ** -m),
+            [0, 1], [0, 1])))
         oracle = block_integrals_gamma1d(bpow, rho, 0.0, m)
-        assert quad.log_i0 == pytest.approx(oracle.log_i0, abs=1e-7)
+        assert oracle.log_i0 == pytest.approx(want, abs=1e-10)
+        with pytest.raises(DomainError):
+            block_integrals_quadrature(bpow, rho, 0.0, m)
 
     def test_loose_rtol_stays_within_band(self):
         rng = np.random.default_rng(8)

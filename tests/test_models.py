@@ -121,8 +121,7 @@ class TestModelInference:
         # full model scored through the slicing path equals the direct
         # computation on the orthogonalized design
         from blockhyperg.blockprior import (BlockHyperGPrior,
-                                            bf_block_hyper_g,
-                                            posterior_mean_block)
+                                            bf_block_hyper_g, scale_blocks)
         from blockhyperg.design import fit_least_squares
         d = _design(seed=2)
         spec = ModelSpec.from_gamma([1, 1, 1, 1], d.partition)
@@ -130,8 +129,9 @@ class TestModelInference:
         q, T = block_orthogonalize(d)
         fit = fit_least_squares(q)
         prior = BlockHyperGPrior(3.0, d.partition)
-        want_bf = bf_block_hyper_g(prior, fit).log_bf_null
-        kappa = posterior_mean_block(prior, fit)
+        post = bf_block_hyper_g(prior, fit)
+        want_bf = post.log_bf_null
+        kappa = scale_blocks(fit.beta_hat_ls, prior.partition, post.t_mean)
         want_mean = np.linalg.solve(T, kappa)
         assert log_bf == pytest.approx(want_bf, abs=1e-9)
         np.testing.assert_allclose(mean, want_mean, atol=1e-9)
