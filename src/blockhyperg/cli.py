@@ -273,9 +273,16 @@ def _ints(values) -> tuple[int, ...]:
 
 
 def _sequence_from_config(cfg: dict) -> experiments.SequenceSpec:
+    n = _config_value(cfg, "n", 50, int)
+    sizes = _config_value(cfg, "sizes", (2, 1), _ints)
+    if not sizes or min(sizes) < 1:
+        raise ConfigError(
+            f"'sizes' needs one or more blocks of size >= 1, got {sizes}")
+    if n <= sum(sizes):
+        raise ConfigError(
+            f"'n' must exceed the {sum(sizes)} predictors, got n={n}")
     return experiments.standard_sequence(
-        n=_config_value(cfg, "n", 50, int),
-        sizes=_config_value(cfg, "sizes", (2, 1), _ints),
+        n=n, sizes=sizes,
         a=float(cfg["prior"].get("a", 3.0)), seed=int(cfg["seed"]),
         scales=_config_value(cfg, "scales", experiments.DEFAULT_SCALES,
                              lambda v: tuple(float(c) for c in v)),
@@ -300,6 +307,12 @@ def cmd_experiment(cfg: dict) -> int:
             result = experiments.sigma2_limit_check(spec)
     else:
         schedule = _config_value(cfg, "n_schedule", (100, 400, 1600), _ints)
+        pool_p = sum(experiments.SELECTION_POOL if name == "selection"
+                     else experiments.PREDICTION_POOL)
+        if any(n <= pool_p for n in schedule):
+            raise ConfigError(
+                f"every 'n_schedule' entry must exceed the {pool_p} "
+                f"predictors of the {name} pool, got {list(schedule)}")
         reps = _config_value(cfg, "replicates", 200, int)
         a = float(cfg["prior"].get("a", 3.0))
         if name == "selection":

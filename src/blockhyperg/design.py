@@ -137,7 +137,9 @@ class FitSummary:
     block_orthogonal: bool
 
 
-def _rank_check(X: np.ndarray, what: str) -> None:
+def rank_check(X: np.ndarray, what: str) -> None:
+    """Raise RankDeficient when X's singular values span more than
+    1/RANK_RTOL."""
     if min(X.shape) == 0:
         return
     sv = np.linalg.svd(X, compute_uv=False)
@@ -162,7 +164,7 @@ def center_design(X_raw: np.ndarray, y_raw: np.ndarray,
     y_mean = float(y_raw.mean())
     X = X_raw - x_means
     y = y_raw - y_mean
-    _rank_check(X, "centered design")
+    rank_check(X, "centered design")
     return CenteredDesign(y=y, X=X, partition=partition, y_mean=y_mean,
                           x_means=x_means)
 
@@ -248,7 +250,7 @@ def block_orthogonalize(d: CenteredDesign,
             T[np.ix_(cols_done, idx)] = C
         else:
             Qb = Xb
-        _rank_check(Qb, f"residualized block {bi + 1}")
+        rank_check(Qb, f"residualized block {bi + 1}")
         Q[:, idx] = Qb
         cols_done.extend(idx)
         pos += part.sizes[bi]

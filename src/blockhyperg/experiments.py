@@ -327,9 +327,9 @@ def run_selection_consistency(n_schedule=(100, 400, 1600),
     _check_budget(n_schedule, replicates)
     res = ExperimentResult(name="selection", seed=seed)
     pool = design.BlockPartition.contiguous(SELECTION_POOL)
-    specs = {name: models.ModelSpec.from_gamma(
+    specs = [models.ModelSpec.from_gamma(
                  [int(c in cols) for c in range(pool.p)], pool)
-             for name, cols in SELECTION_CASES.items()}
+             for cols in SELECTION_CASES.values()]
     medians: dict[str, list[float]] = {k: [] for k in SELECTION_CASES
                                        if k != "truth"}
     iqrs: dict[str, list[float]] = {k: [] for k in medians}
@@ -342,9 +342,8 @@ def run_selection_consistency(n_schedule=(100, 400, 1600),
             d = design.center_design(X, y, pool)
             # medians over replicates only need ~1e-3; 1e-4 keeps each
             # call cheap
-            lb = {name: models.model_inference(d, spec, "block-subsets", a,
-                                               rtol=1e-4)[0]
-                  for name, spec in specs.items()}
+            lb = dict(zip(SELECTION_CASES, models.block_subsets_scores(
+                d, specs, a, rtol=1e-4)[0]))
             for name in samples:
                 samples[name].append(lb[name] - lb["truth"])
         for name, vals in samples.items():

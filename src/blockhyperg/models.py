@@ -1,4 +1,11 @@
-"""Model enumeration, posterior model probabilities, and BMA prediction."""
+"""Model enumeration, posterior model probabilities, and BMA prediction.
+
+A search scores all of its models from one QR factorization of [X | y]:
+all-subsets models with the single-block hyper-g closed forms, block-subsets
+models with the block prior. `model_inference` fits one model on its own,
+from its n rows; it is the per-model reference the tests hold both searches
+to.
+"""
 
 from __future__ import annotations
 
@@ -158,13 +165,16 @@ def model_inference(d: design.CenteredDesign, spec: ModelSpec,
                     mode: str, a: float = 3.0, *, rtol: float = 1e-7,
                     ) -> tuple[float, np.ndarray, str]:
     """log BF vs null, full-length posterior coefficient mean, and the
-    method label of the evidence computation.
+    method label of the evidence computation, for one model fitted on its
+    own n rows.
 
-    all-subsets scores each model with the single-block prior, from its
-    own least-squares fit (the search scores these from one factorization
-    instead, and the tests hold it to this); block-subsets uses the block
-    prior on the induced partition (orthogonalizing the slice if needed and
-    mapping the shrunk coefficients back through the triangular transform).
+    all-subsets scores the model with the single-block prior, from its own
+    least-squares fit; block-subsets uses the block prior on the induced
+    partition (orthogonalizing the slice if needed and mapping the shrunk
+    coefficients back through the triangular transform). Searches score
+    models from one factorization instead (`_all_subsets_scores`,
+    `block_subsets_scores`); this is the per-model reference the tests
+    hold both to.
     """
     p = d.p
     if spec.is_null:
@@ -209,40 +219,65 @@ def evaluate_model_space(d: design.CenteredDesign, mode: str,
     full-length posterior coefficient means (one row per model), and the
     per-model method labels, under the uniform model prior.
 
-    all-subsets models are scored together from one factorization
-    (`_all_subsets_scores`); block-subsets models one at a time through
-    `model_inference`.
+    Both modes score their models together from one factorization of
+    [X | y] (`_all_subsets_scores`, `block_subsets_scores`), with no
+    per-model pass over the n rows; `model_inference` is the per-model
+    reference they agree with.
     """
     models = enumerate_models(d.partition, mode)
     if mode == "all-subsets":
         log_bfs, means = _all_subsets_scores(d, models, a)
         methods = ["closed-form"] * len(models)
-        return posterior_model_probs(models, log_bfs), means, methods
-    log_bfs = np.empty(len(models))
-    means = np.zeros((len(models), d.p))
-    methods = []
-    for i, spec in enumerate(models):
-        log_bfs[i], means[i], meth = model_inference(d, spec, mode, a,
-                                                     rtol=rtol)
-        methods.append(meth)
+    else:
+        log_bfs, means, methods = block_subsets_scores(d, models, a,
+                                                       rtol=rtol)
     return posterior_model_probs(models, log_bfs), means, methods
+
+
+def _xy_triangle(d: design.CenteredDesign) -> np.ndarray:
+    """R of [X | y] = Q [R | r_y]: the one factorization a search makes."""
+    return np.linalg.qr(np.column_stack([d.X, d.y]), mode="r")
+
+
+def _subset_triangles(R: np.ndarray, cols: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The triangles of [R[:, c] | r_y], one per row c of cols, with each
+    model's R^2 and 1-R^2.
+
+    A submodel S fits r_y on R[:, S] exactly as it fits y on X[:, S]. The
+    triangle of [R[:, S] | r_y] holds the model's own triangle R_S,
+    u = Q_S^T y in its last column above the diagonal, and the residual
+    norm on the diagonal below u. So fit^2 = |u|^2 and RSS is one squared
+    entry, never a difference, and nothing here depends on n. Raises
+    RankDeficient when a triangle's diagonal spans more than 1/RANK_RTOL.
+    """
+    p = R.shape[1] - 1
+    m, s = cols.shape
+    stack = np.concatenate(
+        [R[:, cols].transpose(1, 0, 2),
+         np.broadcast_to(R[:, p:], (m, p + 1, 1))], axis=2)
+    tri = np.linalg.qr(stack, mode="r")
+    diag = np.abs(np.diagonal(tri[:, :s, :s], axis1=1, axis2=2))
+    if np.any((diag.min(axis=1) == 0.0)
+              | (diag.min(axis=1) < design.RANK_RTOL * diag.max(axis=1))):
+        raise RankDeficient("least-squares system rank-deficient")
+    u = tri[:, :s, s]
+    fit2 = np.sum(u * u, axis=1)
+    rss = tri[:, s, s] ** 2
+    total = fit2 + rss
+    r2 = np.divide(fit2, total, out=np.zeros(m), where=total > 0)
+    omr2 = np.divide(rss, total, out=np.ones(m), where=total > 0)
+    return tri, r2, omr2
 
 
 def _all_subsets_scores(d: design.CenteredDesign, models: list[ModelSpec],
                         a: float) -> tuple[np.ndarray, np.ndarray]:
     """log BFs and posterior coefficient means of single-block hyper-g
-    models, all from one QR factorization of [X | y].
-
-    With [X | y] = Q [R | r_y], a submodel S fits r_y on R[:, S] exactly
-    as it fits y on X[:, S]. The triangle of [R[:, S] | r_y] holds the
-    model's own triangle T_S, u = Q_S^T r_y in its last column above the
-    diagonal, and the residual norm on the diagonal below u. So
-    fit^2 = |u|^2 and RSS is one squared entry, never a difference, and
-    nothing per model depends on n. Models of equal size are factored
-    together in batches.
+    models, all from one QR factorization of [X | y] (`_subset_triangles`).
+    Models of equal size are factored together in batches.
     """
     n, p = d.n, d.p
-    R = np.linalg.qr(np.column_stack([d.X, d.y]), mode="r")
+    R = _xy_triangle(d)
     gammas = np.array([m.gamma for m in models], dtype=bool)
     sizes = gammas.sum(axis=1)
     log_bfs = np.zeros(len(models))
@@ -252,28 +287,78 @@ def _all_subsets_scores(d: design.CenteredDesign, models: list[ModelSpec],
         for start in range(0, len(group), _BATCH):
             idx = group[start:start + _BATCH]
             cols = np.nonzero(gammas[idx])[1].reshape(len(idx), s)
-            stack = np.concatenate(
-                [R[:, cols].transpose(1, 0, 2),
-                 np.broadcast_to(R[:, p:], (len(idx), p + 1, 1))], axis=2)
-            tri = np.linalg.qr(stack, mode="r")
-            diag = np.abs(np.diagonal(tri[:, :s, :s], axis1=1, axis2=2))
-            if np.any((diag.min(axis=1) == 0.0)
-                      | (diag.min(axis=1)
-                         < design.RANK_RTOL * diag.max(axis=1))):
-                raise RankDeficient("least-squares system rank-deficient")
-            u = tri[:, :s, s]
-            fit2 = np.sum(u * u, axis=1)
-            rss = tri[:, s, s] ** 2
-            total = fit2 + rss
-            r2 = np.divide(fit2, total, out=np.zeros(len(idx)),
-                           where=total > 0)
-            omr2 = np.divide(rss, total, out=np.ones(len(idx)),
-                             where=total > 0)
+            tri, r2, omr2 = _subset_triangles(R, cols)
             log_bfs[idx], shrink = hyperg.hyper_g_scores(a, n, s, r2, omr2)
+            u = tri[:, :s, s]
             # LU of a triangle pivots nowhere: this is back-substitution
             beta = np.linalg.solve(tri[:, :s, :s], u[..., None])[..., 0]
             means[idx[:, None], cols] = shrink[:, None] * beta
     return log_bfs, means
+
+
+def block_subsets_scores(d: design.CenteredDesign, specs: list[ModelSpec],
+                         a: float = 3.0, *, rtol: float = 1e-7,
+                         ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """log BFs, full-length posterior coefficient means and method labels
+    of block hyper-g models on the induced partitions of `specs`, all from
+    one QR factorization of [X | y].
+
+    Take model S's columns in block order. Its triangle (`_subset_triangles`)
+    gives R_S and u = Q_S^T y. `design.block_orthogonalize` residualizes
+    each block on the blocks before it, which leaves Q_S[:, block i] R_ii:
+    so the residualized block has the singular values of R_ii (its rank
+    check), block i's orthogonalized R^2 is |u_i|^2 / y'y, its LS
+    coefficients are kappa_i = R_ii^-1 u_i, and the posterior mean is
+    beta = R_S^-1 (t * u) with t_i repeated over block i. Nothing per model
+    depends on n.
+
+    `model_inference` agrees to rounding, except on a design that passes
+    `design.check_block_orthogonality` without being exactly orthogonal: it
+    then skips orthogonalization and takes raw block projections, which
+    differ from these by up to about ORTHO_TOL (1e-8) relative.
+    """
+    n, p = d.n, d.p
+    R = _xy_triangle(d)
+    yty = float(d.y @ d.y)
+    orders = []  # each model's columns of X, in block order
+    for spec in specs:
+        cols = spec.included
+        orders.append([] if spec.is_null else
+                      [cols[c] for b in spec.induced_partition.blocks
+                       for c in b])
+    sizes = np.array([len(o) for o in orders])
+    log_bfs = np.zeros(len(specs))
+    means = np.zeros((len(specs), p))
+    methods = ["closed-form"] * len(specs)
+    for s in np.unique(sizes[sizes > 0]):
+        idx = np.flatnonzero(sizes == s)
+        tri, r2, omr2 = _subset_triangles(
+            R, np.array([orders[i] for i in idx]))
+        for j, i in enumerate(idx):
+            part = specs[i].induced_partition
+            R_S, u = tri[j, :s, :s], tri[j, :s, s]
+            edges = np.cumsum((0,) + part.sizes)
+            kappa = np.empty(s)
+            r2_blocks = np.empty(part.k)
+            for b in range(part.k):
+                blk = slice(edges[b], edges[b + 1])
+                design.rank_check(R_S[blk, blk], f"residualized block {b + 1}")
+                kappa[blk] = np.linalg.solve(R_S[blk, blk], u[blk])
+                r2_blocks[b] = u[blk] @ u[blk] / yty if yty > 0 else 0.0
+            dof = n - s - 1
+            fit = design.FitSummary(
+                n=n, p=int(s), p_i=part.sizes, alpha_hat=d.y_mean,
+                beta_hat_ls=kappa,
+                sigma2_hat=tri[j, s, s] ** 2 / dof if dof > 0 else 0.0,
+                r2=float(r2[j]), r2_blocks=r2_blocks, yty=yty,
+                one_minus_r2=float(omr2[j]), block_orthogonal=True)
+            post = blockprior.bf_block_hyper_g(
+                blockprior.BlockHyperGPrior(a, part), fit, rtol=rtol)
+            t = np.repeat(post.t_mean, part.sizes)
+            means[i, orders[i]] = np.linalg.solve(R_S, t * u)
+            log_bfs[i] = post.log_bf_null
+            methods[i] = post.method
+    return log_bfs, means, methods
 
 
 def bma_predict(x_star: np.ndarray, posterior: ModelPosterior,

@@ -102,6 +102,19 @@ class TestConfigErrors:
             == EXIT_CONFIG
         assert "blockhyperg:error:ConfigError:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [
+        {"mode": "experiment:els", "sizes": [0, 1]},
+        {"mode": "experiment:els", "n": 3},
+        {"mode": "experiment:selection", "n_schedule": [5, 400]},
+        {"mode": "experiment:prediction", "n_schedule": [100, 6]},
+    ])
+    def test_impossible_design(self, tmp_path, capsys, entry):
+        # an empty block, or n no larger than the number of predictors,
+        # cannot be simulated: a config error, not a numerical failure
+        assert _run(tmp_path, dict(entry, output_dir=str(tmp_path))) \
+            == EXIT_CONFIG
+        assert "blockhyperg:error:ConfigError:" in capsys.readouterr().err
+
     def test_select_rejects_fixed_g(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         _write_csv(data)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from blockhyperg import design, models
 from blockhyperg.design import (BlockPartition, CenteredDesign,
                                 center_design, fit_least_squares)
 from blockhyperg.errors import (DomainError, PreconditionViolated,
@@ -162,6 +163,35 @@ class TestReplicatedRuns:
         # the grossly wrong model already loses badly at these tiny n
         case1 = r1.series("case1_missing_block_median_log_bf")
         assert case1[-1][1] < -5.0
+
+    def test_selection_scored_from_one_factorization(self, monkeypatch):
+        # the five candidates come from one factorization of [X | y] per
+        # replicate; a run that scores each through model_inference must
+        # give the same verdicts and rows within the experiment's rtol
+        def per_model(d, specs, a=3.0, *, rtol=1e-7):
+            out = [models.model_inference(d, s, "block-subsets", a,
+                                          rtol=rtol) for s in specs]
+            return (np.array([o[0] for o in out]),
+                    np.array([o[1] for o in out]), [o[2] for o in out])
+
+        def refuse(*_):
+            raise AssertionError("per-model n-row factorization")
+
+        kw = dict(n_schedule=(100, 400), replicates=2, seed=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "block_subsets_scores", per_model)
+            want = run_selection_consistency(**kw)
+        with monkeypatch.context() as patch:
+            patch.setattr(design, "fit_least_squares", refuse)
+            patch.setattr(design, "block_orthogonalize", refuse)
+            got = run_selection_consistency(**kw)
+        assert got.verdicts == want.verdicts
+        assert ([(r["x"], r["statistic"]) for r in got.rows]
+                == [(r["x"], r["statistic"]) for r in want.rows])
+        for key in ("value", "err"):
+            np.testing.assert_allclose([r[key] for r in got.rows],
+                                       [r[key] for r in want.rows],
+                                       rtol=1e-4)
 
     def test_prediction_smoke(self):
         res = run_prediction_consistency(n_schedule=(60, 120),

@@ -222,6 +222,101 @@ class TestAllSubsetsTriangle:
             evaluate_model_space(d, "all-subsets")
 
 
+def _block_designs():
+    """Block designs for the one-factorization check: correlated and badly
+    scaled, with n = p+3, 30 and 400 in turn; odd seeds near-saturated
+    (1-R^2 about 1e-12 for the models that hold the signal). Then a
+    non-contiguous partition, and an exactly orthogonal design, which
+    model_inference fits without orthogonalizing."""
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        sizes = tuple(int(v) for v in
+                      rng.integers(1, 4, size=int(rng.integers(1, 4))))
+        p = sum(sizes)
+        n = (p + 3, 30, 400)[seed % 3]
+        X = rng.normal(size=(n, p)) * np.exp(rng.normal(size=p))
+        X[:, 1:] += 0.5 * X[:, :1]
+        beta = rng.normal(size=p) * (rng.random(p) < 0.7)
+        beta[0] = 1.0
+        y = X @ beta + (1e-6 if seed % 2 else 1.0) * rng.normal(size=n)
+        yield center_design(X, y, BlockPartition.contiguous(sizes))
+    rng = np.random.default_rng(20)
+    X = rng.normal(size=(60, 4))
+    X[:, 1:] += 0.5 * X[:, :1]
+    y = X @ np.array([1.0, 0.0, -0.5, 0.3]) + rng.normal(size=60)
+    yield center_design(X, y, BlockPartition([(0, 2), (1, 3)]))
+    X = rng.normal(size=(50, 4))
+    X -= X.mean(axis=0)
+    X = np.linalg.qr(X)[0] * math.sqrt(50)
+    y = X @ np.array([0.4, -0.3, 0.2, 0.0]) + rng.normal(size=50)
+    yield center_design(X, y, BlockPartition.contiguous((2, 2)))
+
+
+class TestBlockSubsetsTriangle:
+    def test_matches_per_model_fits(self, monkeypatch):
+        # block-subsets scores from one factorization of [X | y] against
+        # model_inference's per-model orthogonalization and fit. On a
+        # design orthogonal only to within ORTHO_TOL, model_inference skips
+        # orthogonalizing and the two may differ by about 1e-8; the
+        # orthogonal design here is orthogonal to rounding.
+        def refuse(*_):
+            raise AssertionError("per-model n-row factorization")
+
+        designs = list(_block_designs())
+        assert design.check_block_orthogonality(designs[-1])
+        for d in designs:
+            want = [model_inference(d, m, "block-subsets")
+                    for m in enumerate_models(d.partition, "block-subsets")]
+            with monkeypatch.context() as patch:
+                patch.setattr(design, "fit_least_squares", refuse)
+                patch.setattr(design, "block_orthogonalize", refuse)
+                post, means, methods = evaluate_model_space(d,
+                                                            "block-subsets")
+            assert methods == [meth for _, _, meth in want]
+            # a coefficient error counts by the fit it moves: |x_j| |d b_j|
+            col = np.linalg.norm(d.X, axis=0)
+            for i, (log_bf, mean, _) in enumerate(want):
+                assert abs(post.log_bf_null[i] - log_bf) <= 1e-10 * max(
+                    1.0, abs(log_bf))
+                assert np.all(np.abs(means[i] - mean) * col
+                              <= 1e-10 * np.linalg.norm(d.y))
+
+    def test_rank_deficient_block_raises(self):
+        # the block-2 column duplicates a block-1 column, so the full
+        # model's triangle has a zero on its diagonal
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(40, 2))
+        X = np.column_stack([x, x[:, 0]])
+        X -= X.mean(axis=0)
+        y = x[:, 0] + rng.normal(size=40)
+        d = CenteredDesign(y=y - y.mean(), X=X,
+                           partition=BlockPartition.contiguous((2, 1)))
+        with pytest.raises(RankDeficient):
+            model_inference(d, ModelSpec.from_gamma([1, 1, 1], d.partition),
+                            "block-subsets")
+        with pytest.raises(RankDeficient):
+            evaluate_model_space(d, "block-subsets")
+
+    def test_ill_conditioned_block_raises(self):
+        # block 2 is [q2, 1e11 q2 + q3] on orthonormal q: its triangle
+        # R_22 = [[1, 1e11], [0, 1]] has a unit diagonal, which passes the
+        # diagonal check, but singular values 1e11 and 1e-11. Only the
+        # per-block singular-value check on R_22 sees it, as the n-row
+        # check on the residualized block does in model_inference.
+        rng = np.random.default_rng(5)
+        Z = rng.normal(size=(40, 3))
+        q = np.linalg.qr(Z - Z.mean(axis=0))[0]  # centered columns
+        X = np.column_stack([q[:, 0], q[:, 1], 1e11 * q[:, 1] + q[:, 2]])
+        y = q @ np.array([1.0, 0.5, 0.2]) + 0.1 * rng.normal(size=40)
+        d = CenteredDesign(y=y - y.mean(), X=X,
+                           partition=BlockPartition.contiguous((1, 2)))
+        with pytest.raises(RankDeficient):
+            model_inference(d, ModelSpec.from_gamma([1, 1, 1], d.partition),
+                            "block-subsets")
+        with pytest.raises(RankDeficient, match="residualized block"):
+            evaluate_model_space(d, "block-subsets")
+
+
 class TestBmaPredict:
     def test_matches_hand_rolled_average(self):
         d = _design(n=200, seed=8)
