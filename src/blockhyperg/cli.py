@@ -2,11 +2,11 @@
 
 All inputs come from a JSON config file; --seed/--orthogonalize override
 the corresponding config entries (the seed drives the experiments'
-simulated data; no fit or search route is random). Reports are JSON with
-sorted keys plus CSV sweep tables, each embedding the config hash, seed,
-library version, and the method behind every computed number. Exit codes: 0 ok,
-2 config error, 3 data error, 4 numerical failure, 5 budget exceeded,
-6 experiment verdict failed.
+simulated data; no fit or search route is random). Reports are compact
+one-line JSON with sorted keys plus CSV sweep tables, each embedding the
+config hash, seed, library version, and the method behind every computed
+number. Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical
+failure, 5 budget exceeded, 6 experiment verdict failed.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ _BUDGET_ERRORS = (BudgetExceeded, SimulationBudgetExceeded)
 _NUMERICAL_ERRORS = (NoConvergence, NotBlockOrthogonal, IntegralDiverges,
                      OutOfInterior, RankDeficient, DomainError,
                      DimensionMismatch, EmptyModelList)
+
+_ROW_BATCH = 1024  # list items encoded per write in _write_json
 
 EXPERIMENT_NAMES = ("els", "clp", "info", "selection", "prediction",
                     "sigma2")
@@ -145,10 +147,46 @@ def _jsonable(x):
     return x
 
 
+def _numpy_value(x):
+    """The C encoder's hook for what it cannot encode: an array converts
+    with one `.tolist()`, a numpy scalar to its Python value."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def _dumps(x) -> str:
+    """Compact JSON with sorted keys, from the C encoder. Where a float is
+    not finite, x is first walked by `_jsonable`, which writes +-inf as the
+    strings "inf" and "-inf"; NaN stays NaN."""
+    try:
+        return json.dumps(x, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False, default=_numpy_value)
+    except ValueError:
+        return json.dumps(_jsonable(x), sort_keys=True,
+                          separators=(",", ":"), default=_numpy_value)
+
+
 def _write_json(path: str, payload: dict) -> None:
+    """Write payload as one line of compact JSON with sorted keys.
+
+    A top-level list longer than _ROW_BATCH (the models of a search) is
+    converted and encoded _ROW_BATCH items at a time, so neither the whole
+    document nor a converted copy of the list is held at once.
+    """
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write("{")
+        for i, key in enumerate(sorted(payload)):
+            fh.write(("," if i else "") + json.dumps(key) + ":")
+            value = payload[key]
+            if isinstance(value, list) and len(value) > _ROW_BATCH:
+                for start in range(0, len(value), _ROW_BATCH):
+                    chunk = _dumps(value[start:start + _ROW_BATCH])
+                    fh.write(("[" if start == 0 else ",") + chunk[1:-1])
+                fh.write("]")
+            else:
+                fh.write(_dumps(value))
+        fh.write("}\n")
 
 
 def _load_design(cfg: dict) -> tuple[design.CenteredDesign, list[str]]:

@@ -9,6 +9,7 @@ scalings produced by the drifting-sequence experiments stay tractable.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,21 +272,46 @@ def load_csv_design(path: str, response: str,
     """Read a headed CSV into raw response/predictor arrays plus partition.
 
     block_columns lists predictor column names per block; every predictor
-    used must appear in exactly one block.
+    used must appear in exactly one block. The header is read with `csv`,
+    the body in one pass of `np.loadtxt`, whose parse of a decimal or
+    exponent spelling is bitwise the one `float()` gives. Blank lines are
+    skipped; cells may be quoted.
     """
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
             try:
-                header = next(reader)
+                header = next(csv.reader(fh))
             except StopIteration:
                 raise DataError(f"{path}: empty file, header row required")
-            rows = list(reader)
-    except OSError as exc:
+            flat = _check_columns(header, response, block_columns)
+            with warnings.catch_warnings():
+                # a header-only file: reported below as a DataError
+                warnings.filterwarnings("ignore", "loadtxt: input contained")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"',
+                                  comments=None)
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}")
+    except ValueError as exc:  # from np.loadtxt
+        _raise_csv_defect(path, len(header), f"non-numeric cell ({exc})")
+    if data.shape[0] == 0:
+        raise DataError(f"{path}: no data rows")
+    if data.shape[1] != len(header):
+        _raise_csv_defect(path, len(header), f"ragged rows ({data.shape[1]} "
+                          f"cells per row, header {len(header)})")
+    col_of = {name: i for i, name in enumerate(header)}
+    y_raw = data[:, col_of[response]]
+    X_raw = data[:, [col_of[c] for c in flat]]
+    partition = BlockPartition.contiguous([len(b) for b in block_columns])
+    return X_raw, y_raw, partition, flat
+
+
+def _check_columns(header: list[str], response: str,
+                   block_columns: list[list[str]]) -> list[str]:
+    """The predictor names in block order, after checking that the header
+    holds each of them and the response, and that none repeats."""
     if response not in header:
         raise DataError(f"response column {response!r} not in header")
-    flat: list[str] = [c for b in block_columns for c in b]
+    flat = [c for b in block_columns for c in b]
     if len(set(flat)) != len(flat):
         raise DataError("a predictor column appears in two blocks")
     for c in flat:
@@ -295,14 +321,18 @@ def load_csv_design(path: str, response: str,
             raise DataError(f"column {c!r} is both response and predictor")
     if not flat:
         raise DataError("no predictor columns configured")
-    col_of = {name: i for i, name in enumerate(header)}
-    try:
-        data = np.array([[float(v) for v in row] for row in rows])
-    except ValueError as exc:
-        raise DataError(f"{path}: non-numeric cell ({exc})")
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise DataError(f"{path}: ragged rows")
-    y_raw = data[:, col_of[response]]
-    X_raw = data[:, [col_of[c] for c in flat]]
-    partition = BlockPartition.contiguous([len(b) for b in block_columns])
-    return X_raw, y_raw, partition, flat
+    return flat
+
+
+def _raise_csv_defect(path: str, width: int, reason: str):
+    """Raise a DataError naming the first row whose cell count differs from
+    the header's, or else giving `reason`."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if row and len(row) != width:
+                raise DataError(
+                    f"{path}: ragged rows (line {reader.line_num}: "
+                    f"{len(row)} cells, header {width})")
+    raise DataError(f"{path}: {reason}")

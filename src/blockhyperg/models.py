@@ -9,6 +9,7 @@ to.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,19 +25,21 @@ from .errors import (BudgetExceeded, DimensionMismatch, DomainError,
 # 2-vCPU VM (README, "Command line")
 ALL_SUBSETS_MAX_P = 18
 _BATCH = 4096  # models factored per batched QR in an all-subsets search
+_SCORE_CHUNK = 256  # models per hyper_g_scores call in an all-subsets search
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Inclusion vector over the p predictors plus the induced partition.
+    """Inclusion vector over the p predictors of a parent partition.
 
     The induced partition renumbers the included columns 0..p_gamma-1 while
-    keeping the parent block grouping; empty blocks are dropped. The empty
-    model is the null model.
+    keeping the parent block grouping; empty blocks are dropped. It is built
+    and validated when first read. The empty model is the null model, with
+    no induced partition.
     """
 
     gamma: tuple[int, ...]
-    induced_partition: design.BlockPartition | None
+    partition: design.BlockPartition
 
     @staticmethod
     def from_gamma(gamma, partition: design.BlockPartition) -> "ModelSpec":
@@ -44,21 +47,23 @@ class ModelSpec:
         if len(gamma) != partition.p:
             raise DimensionMismatch(
                 f"gamma length {len(gamma)} != p {partition.p}")
-        included = [i for i, g in enumerate(gamma) if g]
-        if not included:
-            return ModelSpec(gamma=gamma, induced_partition=None)
-        newpos = {col: j for j, col in enumerate(included)}
+        return ModelSpec(gamma=gamma, partition=partition)
+
+    @functools.cached_property
+    def induced_partition(self) -> design.BlockPartition | None:
+        newpos = {col: j for j, col in enumerate(self.included)}
+        if not newpos:
+            return None
         blocks = []
-        for b in partition.blocks:
+        for b in self.partition.blocks:
             keep = [newpos[c] for c in b if c in newpos]
             if keep:
                 blocks.append(tuple(keep))
-        return ModelSpec(gamma=gamma,
-                         induced_partition=design.BlockPartition(blocks))
+        return design.BlockPartition(blocks)
 
     @property
     def is_null(self) -> bool:
-        return self.induced_partition is None
+        return not any(self.gamma)
 
     @property
     def included(self) -> tuple[int, ...]:
@@ -70,7 +75,7 @@ class ModelSpec:
 
     @property
     def model_id(self) -> str:
-        return "".join(str(g) for g in self.gamma)
+        return "".join(map(str, self.gamma))
 
 
 @dataclass(frozen=True)
@@ -84,9 +89,10 @@ class ModelPosterior:
         return [
             {"model_id": m.model_id,
              "gamma_bits": list(m.gamma),
-             "log_bf_null": float(self.log_bf_null[i]),
-             "post_prob": float(self.post_prob[i])}
-            for i, m in enumerate(self.models)
+             "log_bf_null": log_bf,
+             "post_prob": prob}
+            for m, log_bf, prob in zip(self.models, self.log_bf_null.tolist(),
+                                       self.post_prob.tolist())
         ]
 
     def top_model(self) -> ModelSpec:
@@ -95,17 +101,16 @@ class ModelPosterior:
 
 def enumerate_models(partition: design.BlockPartition,
                      mode: str) -> list[ModelSpec]:
-    """All 2^p single-predictor subsets, or 2^k whole-block subsets."""
+    """All 2^p single-predictor subsets, or 2^k whole-block subsets, in
+    `itertools.product((0, 1), repeat=...)` order."""
     p = partition.p
     if mode == "all-subsets":
         if p > ALL_SUBSETS_MAX_P:
             raise BudgetExceeded(
                 f"all-subsets enumeration limited to p <= "
                 f"{ALL_SUBSETS_MAX_P}, got p={p}")
-        out = []
-        for bits in itertools.product((0, 1), repeat=p):
-            out.append(ModelSpec.from_gamma(bits, partition))
-        return out
+        return [ModelSpec(gamma=g, partition=partition)
+                for g in map(tuple, _all_subsets_bits(p).tolist())]
     if mode == "block-subsets":
         out = []
         for keep in itertools.product((0, 1), repeat=partition.k):
@@ -117,6 +122,13 @@ def enumerate_models(partition: design.BlockPartition,
             out.append(ModelSpec.from_gamma(gamma, partition))
         return out
     raise DomainError(f"unknown enumeration mode {mode!r}")
+
+
+def _all_subsets_bits(p: int) -> np.ndarray:
+    """The 2^p inclusion vectors as the rows of a 0/1 matrix: row i is i in
+    binary, most significant bit first, which is itertools.product order."""
+    return ((np.arange(2 ** p)[:, None] >> np.arange(p - 1, -1, -1)) & 1
+            ).astype(np.uint8)
 
 
 def posterior_model_probs(models: list[ModelSpec],
@@ -226,7 +238,7 @@ def evaluate_model_space(d: design.CenteredDesign, mode: str,
     """
     models = enumerate_models(d.partition, mode)
     if mode == "all-subsets":
-        log_bfs, means = _all_subsets_scores(d, models, a)
+        log_bfs, means = _all_subsets_scores(d, _all_subsets_bits(d.p), a)
         methods = ["closed-form"] * len(models)
     else:
         log_bfs, means, methods = block_subsets_scores(d, models, a,
@@ -237,6 +249,19 @@ def evaluate_model_space(d: design.CenteredDesign, mode: str,
 def _xy_triangle(d: design.CenteredDesign) -> np.ndarray:
     """R of [X | y] = Q [R | r_y]: the one factorization a search makes."""
     return np.linalg.qr(np.column_stack([d.X, d.y]), mode="r")
+
+
+def _rank_check_all(R: np.ndarray) -> None:
+    """`design.rank_check` on the triangle of X, once per search.
+
+    R[:p, :p] has X's singular values, so this repeats the check
+    `design.center_design` makes, for a design built directly. The
+    singular values of any column subset of X, and of any residualized
+    block of one, lie between X's extremes, so it bounds every model of the
+    search. The per-model diagonal check in `_subset_triangles` misses a
+    pair such as [q1, 1e11 q1 + q2], whose triangle has a unit diagonal.
+    """
+    design.rank_check(R[:-1, :-1], "centered design")
 
 
 def _subset_triangles(R: np.ndarray, cols: np.ndarray,
@@ -270,29 +295,40 @@ def _subset_triangles(R: np.ndarray, cols: np.ndarray,
     return tri, r2, omr2
 
 
-def _all_subsets_scores(d: design.CenteredDesign, models: list[ModelSpec],
+def _all_subsets_scores(d: design.CenteredDesign, gammas: np.ndarray,
                         a: float) -> tuple[np.ndarray, np.ndarray]:
     """log BFs and posterior coefficient means of single-block hyper-g
-    models, all from one QR factorization of [X | y] (`_subset_triangles`).
-    Models of equal size are factored together in batches.
+    models, one per row of the inclusion matrix `gammas`, all from one QR
+    factorization of [X | y] (`_subset_triangles`).
+
+    Models of equal size are factored together in batches of _BATCH. The
+    hyper-g scores then take _SCORE_CHUNK models of any sizes per call,
+    which bounds the series' (models x terms) work arrays.
     """
     n, p = d.n, d.p
     R = _xy_triangle(d)
-    gammas = np.array([m.gamma for m in models], dtype=bool)
+    _rank_check_all(R)
+    gammas = np.asarray(gammas, dtype=bool)
     sizes = gammas.sum(axis=1)
-    log_bfs = np.zeros(len(models))
-    means = np.zeros((len(models), p))
+    r2 = np.zeros(len(gammas))
+    omr2 = np.ones(len(gammas))
+    means = np.zeros((len(gammas), p))  # least squares until shrunk below
     for s in range(1, p + 1):
         group = np.flatnonzero(sizes == s)
         for start in range(0, len(group), _BATCH):
             idx = group[start:start + _BATCH]
             cols = np.nonzero(gammas[idx])[1].reshape(len(idx), s)
-            tri, r2, omr2 = _subset_triangles(R, cols)
-            log_bfs[idx], shrink = hyperg.hyper_g_scores(a, n, s, r2, omr2)
-            u = tri[:, :s, s]
+            tri, r2[idx], omr2[idx] = _subset_triangles(R, cols)
             # LU of a triangle pivots nowhere: this is back-substitution
-            beta = np.linalg.solve(tri[:, :s, :s], u[..., None])[..., 0]
-            means[idx[:, None], cols] = shrink[:, None] * beta
+            means[idx[:, None], cols] = np.linalg.solve(
+                tri[:, :s, :s], tri[:, :s, s, None])[..., 0]
+    log_bfs = np.zeros(len(gammas))
+    scored = np.flatnonzero(sizes)
+    for start in range(0, len(scored), _SCORE_CHUNK):
+        idx = scored[start:start + _SCORE_CHUNK]
+        log_bfs[idx], shrink = hyperg.hyper_g_scores(a, n, sizes[idx],
+                                                     r2[idx], omr2[idx])
+        means[idx] *= shrink[:, None]
     return log_bfs, means
 
 
@@ -358,6 +394,9 @@ def block_subsets_scores(d: design.CenteredDesign, specs: list[ModelSpec],
             means[i, orders[i]] = np.linalg.solve(R_S, t * u)
             log_bfs[i] = post.log_bf_null
             methods[i] = post.method
+    # after the per-block checks, which name the block at fault; this one
+    # catches an ill-conditioned pair split across two blocks
+    _rank_check_all(R)
     return log_bfs, means, methods
 
 

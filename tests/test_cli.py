@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from blockhyperg import cli
 from blockhyperg.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_DATA,
                              EXIT_NUMERICAL, EXIT_OK, EXIT_VERDICT, main)
 
@@ -251,6 +252,40 @@ class TestSelect:
         assert _run(tmp_path, cfg) == EXIT_OK
         report = json.loads((tmp_path / "models.json").read_text())
         assert len(report["models"]) == 8
+
+
+class TestReportWriter:
+    def test_matches_per_element_walk(self, tmp_path):
+        # _write_json against the per-element _jsonable walk it replaced:
+        # the same document, "inf" strings in the same places, one line
+        rng = np.random.default_rng(0)
+        rows = [{"model_id": f"{i:011b}", "gamma_bits": [i % 2, 1],
+                 "log_bf_null": np.float64(math.inf if i == 700 else i / 7),
+                 "post_prob": float(i) / 3.0, "method": "closed-form",
+                 "posterior_mean": rng.normal(size=3)}
+                for i in range(2 * cli._ROW_BATCH + 5)]
+        rows[3]["posterior_mean"] = np.array([1.0, -math.inf, 2.5])
+        payload = {
+            "models": rows, "n": np.int64(40), "alpha_hat": np.float64(0.5),
+            "log_bf_null": math.inf, "shrinkage": np.array([0.25, 0.5]),
+            "limits": np.array([[1.0, math.inf], [-math.inf, 0.0]]),
+            "prior": {"type": "hyper-g", "a": 3.0,
+                      "nested": {"z": None, "ok": True, "k": [1, 2]}},
+            "sigma2_limit": None, "passed": False, "columns": ["x1", "x2"],
+        }
+        path = tmp_path / "r.json"
+        cli._write_json(str(path), payload)
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        got = json.loads(text)
+        assert got == json.loads(json.dumps(cli._jsonable(payload)))
+        assert list(got) == sorted(payload)
+        assert got["log_bf_null"] == "inf"
+        assert got["limits"] == [[1.0, "inf"], ["-inf", 0.0]]
+        assert got["models"][700]["log_bf_null"] == "inf"
+        assert got["models"][3]["posterior_mean"][1] == "-inf"
+        assert [r["model_id"] for r in got["models"]] == [
+            r["model_id"] for r in rows]
 
 
 class TestExperimentRuns:

@@ -166,3 +166,49 @@ class TestCsv:
         self._write(bad, ["y", "a"], [[1.0, "zzz"]])
         with pytest.raises(DataError):
             load_csv_design(str(bad), "y", [["a"]])
+
+    def _load_text(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        return load_csv_design(str(path), "y", [["a"]])
+
+    def test_ragged_row_names_its_line(self, tmp_path):
+        with pytest.raises(DataError, match=r"ragged rows \(line 3"):
+            self._load_text(tmp_path, "y,a\n1,2\n3\n4,5\n")
+        with pytest.raises(DataError, match=r"ragged rows \(line 2"):
+            self._load_text(tmp_path, "y,a\n1,2,3\n")
+
+    @pytest.mark.parametrize("text", ["y,a\n1,2\n3,4\n\n",
+                                      "y,a\n1,2\n\n3,4\n",
+                                      "y,a\r\n1,2\r\n3,4\r\n"])
+    def test_blank_lines_skipped(self, tmp_path, text):
+        X, y, _, _ = self._load_text(tmp_path, text)
+        assert y.tolist() == [1.0, 3.0] and X[:, 0].tolist() == [2.0, 4.0]
+
+    def test_quoted_cell_and_single_row(self, tmp_path):
+        X, y, _, _ = self._load_text(tmp_path, 'y,a\n"1.5",-2e-3\n')
+        assert X.shape == (1, 1) and y.tolist() == [1.5]
+        assert X[0, 0] == -2e-3
+
+    def test_header_only_and_non_numeric(self, tmp_path):
+        with pytest.raises(DataError, match="no data rows"):
+            self._load_text(tmp_path, "y,a\n")
+        with pytest.raises(DataError, match="non-numeric cell"):
+            self._load_text(tmp_path, "y,a\n1,zzz\n")
+        # a spelling only float() accepts
+        with pytest.raises(DataError, match="non-numeric cell"):
+            self._load_text(tmp_path, "y,a\n1_0,2\n")
+
+    def test_bitwise_equal_to_float(self, tmp_path):
+        rng = np.random.default_rng(2)
+        vals = rng.normal(size=3000) * 10.0 ** rng.uniform(-300, 300, 3000)
+        vals[:8] = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                    -0.0, 0.1, 1.0 / 3.0, 1e-300, 1e300]
+        cells = [repr(float(v)) for v in vals]
+        rows = [cells[i:i + 3] for i in range(0, len(cells), 3)]
+        path = tmp_path / "x.csv"
+        self._write(path, ["y", "a", "b"], rows)
+        X, y, _, _ = load_csv_design(str(path), "y", [["a", "b"]])
+        got = np.column_stack([y, X]).ravel()
+        want = np.array([float(c) for c in cells])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -1,11 +1,12 @@
 """Model enumeration, posterior probabilities, and BMA prediction."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from blockhyperg import design
+from blockhyperg import design, hyperg
 from blockhyperg.design import (BlockPartition, CenteredDesign,
                                 block_orthogonalize, center_design)
 from blockhyperg.errors import (BudgetExceeded, DimensionMismatch,
@@ -58,6 +59,16 @@ class TestEnumeration:
             for b in part.blocks:
                 bits = {m.gamma[c] for c in b}
                 assert len(bits) == 1
+
+    def test_all_subsets_product_order(self):
+        part = BlockPartition([(0, 3), (1,), (2, 4)])
+        models = enumerate_models(part, "all-subsets")
+        bits = list(itertools.product((0, 1), repeat=5))
+        assert [m.gamma for m in models] == bits
+        for m, g in zip(models, bits):
+            ref = ModelSpec.from_gamma(g, part)
+            assert m.induced_partition == ref.induced_partition
+            assert m.is_null == ref.is_null and m.model_id == ref.model_id
 
     def test_all_subsets_budget_guard(self):
         part = BlockPartition.single(ALL_SUBSETS_MAX_P + 1)
@@ -220,6 +231,66 @@ class TestAllSubsetsTriangle:
                            partition=BlockPartition.single(3))
         with pytest.raises(RankDeficient):
             evaluate_model_space(d, "all-subsets")
+
+
+    def test_bounded_scoring_chunks(self, monkeypatch):
+        # p = 10: 1023 non-null models, scored in chunks of models of mixed
+        # sizes. x1 nearly saturates y (1-R^2 about 1e-12 for the models
+        # that hold it), and n = 12 <= p_gamma + a + 1 for p_gamma >= 8, so
+        # the closed form, the series and the scalar route all serve.
+        rng = np.random.default_rng(3)
+        n, p, a = 12, 10, 3.0
+        X = rng.normal(size=(n, p))
+        y = X[:, 0] + 1e-6 * rng.normal(size=n)
+        d = center_design(X, y, BlockPartition.single(p))
+        calls = []
+        scores = hyperg.hyper_g_scores
+
+        def spy(*args):
+            out = scores(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(hyperg, "hyper_g_scores", spy)
+        post, means, _ = evaluate_model_space(d, "all-subsets", a=a)
+        assert [len(args[2]) for args, _ in calls] == [256, 256, 256, 255]
+        assert all(args[:2] == (a, n) for args, _ in calls)
+        got_p, r2, omr2 = (np.concatenate([args[j] for args, _ in calls])
+                           for j in (2, 3, 4))
+        log_bf, shrink = (np.concatenate([out[j] for _, out in calls])
+                          for j in (0, 1))
+        assert set(got_p) == set(range(1, p + 1))
+        closed = (omr2 <= 0.5) & (n > got_p + a + 1)
+        series = omr2 > 0.5
+        assert closed.sum() > 100 and series.sum() > 100
+        assert (~closed & ~series).sum() > 20
+        assert omr2.min() < 1e-11
+        np.testing.assert_array_equal(post.log_bf_null[1:], log_bf)
+        for i in range(len(log_bf)):
+            args = (a, n, int(got_p[i]), r2[i], omr2[i])
+            assert log_bf[i] == pytest.approx(
+                hyperg.log_bf_hyper_g_stats(*args), rel=1e-12)
+            assert shrink[i] == pytest.approx(
+                hyperg.shrinkage_hyper_g_stats(*args), rel=1e-12)
+
+    def test_ill_conditioned_pair_raises(self):
+        # X = [q1, 1e11 q1 + q2]: each model's triangle has a unit
+        # diagonal, but the singular values of X span 1e22. The once-per-
+        # search check on X's triangle raises, in either enumeration; with
+        # blocks (1, 1) no block is ill-conditioned on its own.
+        rng = np.random.default_rng(5)
+        Z = rng.normal(size=(40, 2))
+        q = np.linalg.qr(Z - Z.mean(axis=0))[0]
+        X = np.column_stack([q[:, 0], 1e11 * q[:, 0] + q[:, 1]])
+        y = q @ np.array([1.0, 0.5]) + 0.1 * rng.normal(size=40)
+        for part, mode in ((BlockPartition.single(2), "all-subsets"),
+                           (BlockPartition.contiguous((1, 1)),
+                            "block-subsets")):
+            d = CenteredDesign(y=y - y.mean(), X=X, partition=part)
+            with pytest.raises(RankDeficient):
+                model_inference(d, ModelSpec.from_gamma([1, 1], part), mode)
+            with pytest.raises(RankDeficient):
+                evaluate_model_space(d, mode)
 
 
 def _block_designs():
