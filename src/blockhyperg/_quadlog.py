@@ -14,6 +14,7 @@ import numpy as np
 from .errors import NoConvergence
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_MAX_PANELS = 2048
 
 
 def gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -70,7 +71,6 @@ def adaptive_log_integral(
     rtol: float = 1e-12,
     seed_points: tuple[float, ...] = (),
     n_nodes: int = 12,
-    max_panels: int = 2048,
 ):
     """log of integral of exp(logf) over [lo, hi], with an error estimate.
 
@@ -108,7 +108,7 @@ def adaptive_log_integral(
             if scalar:
                 return float(total[0]), float(err[0])
             return total, err
-        if len(edges) - 1 >= max_panels:
+        if len(edges) - 1 >= _MAX_PANELS:
             break
         err_p = err_p.max(axis=1)
         bad = err_p > max(rtol / max(len(err_p), 1), 1e-17)

@@ -108,10 +108,18 @@ def _validate_config(cfg: dict) -> dict:
         raise ConfigError(
             f"unknown enumeration {cfg['enumeration']!r}; choose "
             "all-subsets or block-subsets")
+    if mode == "select" and "x_star" in cfg:
+        p = sum(len(b) for b in cfg["blocks"])
+        x_star = _config_value(cfg, "x_star", None,
+                               lambda v: np.asarray(v, dtype=float))
+        if x_star.shape != (p,) or not np.all(np.isfinite(x_star)):
+            raise ConfigError(f"'x_star' needs {p} finite numbers, one per "
+                              "predictor in 'blocks'")
     cfg.setdefault("seed", 0)
     _config_value(cfg, "seed", 0, int)
     cfg.setdefault("orthogonalize", False)
-    cfg.setdefault("output_dir", ".")
+    if not isinstance(cfg.setdefault("output_dir", "."), str):
+        raise ConfigError("'output_dir' must be a directory path string")
     return cfg
 
 
@@ -217,52 +225,37 @@ def cmd_fit(cfg: dict) -> int:
         "block_orthogonal": fit.block_orthogonal,
         "prior": prior,
     })
-    if prior["type"] == "fixed-g":
-        g = float(prior["g"])
-        shrink = g / (1.0 + g)
-        report.update({
-            "log_bf_null": hyperg.log_bf_fixed_g_stats(
-                g, fit.n, fit.p, fit.r2, fit.one_minus_r2),
-            "shrinkage": shrink,
-            "posterior_mean": shrink * fit.beta_hat_ls,
-            "method": "closed-form",
-            "error_estimate": 0.0,
-        })
-    elif prior["type"] == "hyper-g":
-        a = float(prior["a"])
-        shrink = hyperg.shrinkage_hyper_g_stats(a, fit.n, fit.p, fit.r2,
-                                                fit.one_minus_r2)
-        report.update({
-            "log_bf_null": hyperg.log_bf_hyper_g_stats(
-                a, fit.n, fit.p, fit.r2, fit.one_minus_r2),
-            "shrinkage": shrink,
-            "posterior_mean": shrink * fit.beta_hat_ls,
-            "method": "closed-form",
-            "error_estimate": 0.0,
-        })
-        if fit.n > a + fit.p - 1.0:
-            ig = hyperg.sigma2_limit_hyper_g(hyperg.HyperGPrior(a), fit.n,
-                                             fit.p, fit.sigma2_hat)
-            report["sigma2_limit"] = {"shape": ig.shape, "scale": ig.scale}
-    else:
-        a = float(prior["a"])
-        bprior = blockprior.BlockHyperGPrior(a, d.partition)
+    if prior["type"] == "block-hyper-g":
+        bprior = blockprior.BlockHyperGPrior(float(prior["a"]), d.partition)
         post = blockprior.bf_block_hyper_g(bprior, fit)
-        mean = blockprior.scale_blocks(fit.beta_hat_ls, d.partition,
-                                       post.t_mean)
-        report.update({
-            "log_bf_null": post.log_bf_null,
-            "shrinkage": post.t_mean,
-            "posterior_mean": mean,
-            "method": post.method,
-            "error_estimate": post.error_estimate,
-        })
+        log_bf, shrink = post.log_bf_null, post.t_mean
+        mean = blockprior.scale_blocks(fit.beta_hat_ls, d.partition, shrink)
+        method, error = post.method, post.error_estimate
         try:
             dens = blockprior.sigma2_density_exact_block(bprior, fit)
             if dens.alpha + float(dens.nu.sum()) > 1.0:
                 report["sigma2_posterior_mean"] = dens.mean()
         except DomainError:
             pass  # improper or degenerate: omit the summary
+    else:
+        if prior["type"] == "fixed-g":
+            g = float(prior["g"])
+            log_bf = hyperg.log_bf_fixed_g_stats(g, fit.n, fit.p, fit.r2,
+                                                 fit.one_minus_r2)
+            shrink = g / (1.0 + g)
+        else:
+            a = float(prior["a"])
+            log_bf, shrink = (float(v) for v in hyperg.hyper_g_scores(
+                a, fit.n, fit.p, fit.r2, fit.one_minus_r2))
+            if fit.n > a + fit.p - 1.0:
+                ig = hyperg.sigma2_limit_hyper_g(hyperg.HyperGPrior(a),
+                                                 fit.n, fit.p, fit.sigma2_hat)
+                report["sigma2_limit"] = {"shape": ig.shape,
+                                          "scale": ig.scale}
+        mean, method, error = shrink * fit.beta_hat_ls, "closed-form", 0.0
+    report.update({"log_bf_null": log_bf, "shrinkage": shrink,
+                   "posterior_mean": mean, "method": method,
+                   "error_estimate": error})
     out = os.path.join(cfg["output_dir"], "fit.json")
     _write_json(out, report)
     return EXIT_OK
@@ -276,10 +269,17 @@ def cmd_select(cfg: dict) -> int:
     a = float(prior["a"])
     mode = cfg.get("enumeration", "block-subsets")
     posterior, means, methods = models.evaluate_model_space(d, mode, a=a)
+    # rows in report order, each built once; the writer converts means[i]
     order = np.argsort(-posterior.post_prob, kind="stable")
-    rows = posterior.to_rows()
-    rows = [dict(rows[i], method=methods[i],
-                 posterior_mean=means[i]) for i in order]
+    bits = np.array([m.gamma for m in posterior.models], np.uint8)[order]
+    ids = (bits + ord("0")).view(f"S{d.p}").ravel().astype(str)
+    rows = [{"model_id": model_id, "gamma_bits": gamma, "log_bf_null": lb,
+             "post_prob": prob, "method": methods[i],
+             "posterior_mean": means[i]}
+            for i, model_id, gamma, lb, prob in zip(
+                order.tolist(), ids.tolist(), bits.tolist(),
+                posterior.log_bf_null[order].tolist(),
+                posterior.post_prob[order].tolist())]
     report = _provenance(cfg)
     report.update({
         "mode": "select",

@@ -4,20 +4,10 @@ shrinkage factors, posterior means, and the large-sample sigma^2 posterior.
 All Bayes factors are computed and stored as logs; linear values are exposed
 on demand. Drifting-sequence experiments overflow doubles otherwise.
 
-The hyper-g Bayes factor and shrinkage take one of three routes:
-
-- unit R^2: a finite limit or a +inf sentinel;
-- R^2 >= 1/2 and n > p+a+1: closed forms through the regularized incomplete
-  beta function (`_closed_form`);
-- otherwise `special.hyp2f1_log`: the Gauss series at small R^2, and its
-  Euler quadrature in the bounded regime n <= p+a+1 near R^2 = 1.
-
-`hyper_g_scores` scores many models at once, with the closed form and the
-series each vectorized over the models in their range.
-
-Below R^2 = 1/2 the closed form loses digits to cancellation between its
-beta function and the incomplete-beta factor, so the series keeps that range.
-The series also takes over where an incomplete-beta factor underflows.
+The hyper-g Bayes factor and shrinkage have one evaluator,
+`hyper_g_scores`, over any number of models. `log_bf_hyper_g_stats` and
+`shrinkage_hyper_g_stats` are one-model calls of its route table
+(`_route_table`), so a model scores the same through every entry point.
 """
 
 from __future__ import annotations
@@ -33,8 +23,6 @@ from ._quadlog import adaptive_log_integral
 from .design import FitSummary
 from .errors import DomainError
 from .special import hyp2f1_log, log_series_2f1
-
-LOG_BF_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -93,7 +81,7 @@ def _resolve_r2(r2: float, one_minus_r2: float | None) -> tuple[float, float]:
     if not (0.0 <= r2 <= 1.0):
         raise DomainError(f"need 0 <= R^2 <= 1, got {r2}")
     omr2 = (1.0 - r2) if one_minus_r2 is None else float(one_minus_r2)
-    if omr2 < 0.0:
+    if not omr2 >= 0.0:
         raise DomainError(f"need 1 - R^2 >= 0, got {omr2}")
     return float(r2), omr2
 
@@ -115,12 +103,6 @@ def bf_fixed_g(prior: FixedGPrior, fit: FitSummary) -> float:
                                          fit.one_minus_r2))
 
 
-def _closed_form_applies(a, n, p, omr2):
-    """Where `_closed_form` keeps full precision: 0 < 1-R^2 <= 1/2 and
-    n > p+a+1, which makes both incomplete-beta parameters positive."""
-    return (omr2 > 0.0) & (omr2 <= 0.5) & (n > p + a + 1.0)
-
-
 def _closed_form(a, n, p, omr2) -> tuple[np.ndarray, np.ndarray]:
     """Hyper-g log Bayes factor and shrinkage E[g/(1+g) | y], elementwise.
 
@@ -136,7 +118,7 @@ def _closed_form(a, n, p, omr2) -> tuple[np.ndarray, np.ndarray]:
 
     Both values are NaN where an incomplete-beta factor is below the
     smallest normal double, which happens for blocks of thousands of
-    predictors with n near p; the callers take the series route there.
+    predictors with n near p; `_route_table` takes `hyp2f1_log` there.
     """
     m = 0.5 * (n - 1.0)
     c = 0.5 * (a + p)
@@ -165,61 +147,87 @@ def _series_form(a, n, p, omr2) -> tuple[np.ndarray, np.ndarray]:
             (2.0 / (p + a)) * np.exp(log_num - log_den))
 
 
+def _route_table(a: float, n, p, r2, omr2) -> tuple[np.ndarray, np.ndarray]:
+    """Hyper-g log BF and shrinkage over flat arrays of (n, p, R^2, 1-R^2)
+    with n >= 1, unchecked; the log BF is meaningful for n > p+1 only.
+
+    - 0 < 1-R^2 <= 1/2 and n > p+a+1: the closed form, vectorized;
+    - 1-R^2 > 1/2: the series, vectorized. Below R^2 = 1/2 the closed
+      form loses digits to cancellation between its beta function and its
+      incomplete-beta factor;
+    - unit R^2: the shrinkage limits and, for n >= p+a-1, a +inf log BF;
+    - n = 1: shrinkage 2/(p+a);
+    - the rest, one entry at a time through `hyp2f1_log`: the band
+      n <= p+a+1 near R^2 = 1, closed-form underflow, and the finite log
+      BF at unit R^2.
+    """
+    log_bf = np.full(omr2.shape, np.nan)
+    shrink = np.empty(omr2.shape)
+    closed = (omr2 > 0.0) & (omr2 <= 0.5) & (n > p + a + 1.0)
+    series = (omr2 > 0.5) & (omr2 <= 1.0)
+    for route, form in ((closed, _closed_form), (series, _series_form)):
+        if route.any():
+            log_bf[route], shrink[route] = form(a, n[route], p[route],
+                                                omr2[route])
+    closed &= np.isfinite(log_bf)
+    unit = omr2 == 0.0
+    shrink[unit] = np.where(n[unit] >= p[unit] + a - 1.0, 1.0,
+                            2.0 / (p[unit] + a - n[unit] + 1.0))
+    single = (n == 1) & ~unit
+    shrink[single] = 2.0 / (p[single] + a)
+    diverges = unit & (n >= a + p - 1.0)
+    log_bf[diverges] = math.inf
+    for i in np.flatnonzero(~(closed | series | diverges | single)):
+        ni, pi, om = int(n[i]), int(p[i]), float(omr2[i])
+        m, c = 0.5 * (ni - 1), 0.5 * (a + pi)
+        z = float(r2[i]) if om > 0.0 else 1.0
+        log_den = hyp2f1_log(m, 1.0, c, z, one_minus_z=om)
+        log_bf[i] = math.log(a - 2.0) - math.log(pi + a - 2.0) + log_den
+        if om > 0.0:
+            log_num = hyp2f1_log(m, 2.0, c + 1.0, z, one_minus_z=om)
+            shrink[i] = (2.0 / (pi + a)) * math.exp(log_num - log_den)
+    return log_bf, shrink
+
+
 def hyper_g_scores(a: float, n, p, r2, one_minus_r2,
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """log BF against the null and shrinkage for many models at once.
+    """log BF against the null and shrinkage E[g/(1+g) | y], elementwise
+    over broadcast arrays of (n, p, R^2, 1-R^2), from `_route_table`.
 
-    Elementwise over broadcast arrays of (n, p, R^2, 1-R^2), with the
-    values `log_bf_hyper_g_stats` and `shrinkage_hyper_g_stats` give.
-    Entries in the closed-form range, and those with R^2 < 1/2 and
-    n > p+1, are scored from 1-R^2 in one vectorized call per route; the
-    rest (unit R^2, the bounded regime n <= p+a+1 near R^2 = 1, and what
-    the scalar functions reject) go through the scalar functions one by
-    one.
+    Raises DomainError for n <= p+1 or an R^2 outside [0, 1] before any
+    2F1 is evaluated, and warns at exact unit R^2 with n in
+    [p+a-1, p+a+1], where the +inf log BF is the divergent limit.
     """
-    n, p, r2, omr2 = np.broadcast_arrays(
-        np.asarray(n), np.asarray(p), np.asarray(r2, dtype=float),
-        np.asarray(one_minus_r2, dtype=float))
-    log_bf = np.empty(r2.shape)
-    shrink = np.empty(r2.shape)
-    closed = _closed_form_applies(a, n, p, omr2)
-    series = (omr2 > 0.5) & (omr2 <= 1.0) & (n > p + 1)
-    for route, form in ((closed, _closed_form), (series, _series_form)):
-        log_bf[route], shrink[route] = form(a, n[route], p[route],
-                                            omr2[route])
-    closed &= np.isfinite(log_bf)
-    for i in zip(*np.nonzero(~(closed | series))):
-        args = (a, int(n[i]), int(p[i]), float(r2[i]), float(omr2[i]))
-        log_bf[i] = log_bf_hyper_g_stats(*args)
-        shrink[i] = shrinkage_hyper_g_stats(*args)
-    return log_bf, shrink
+    args = np.broadcast_arrays(np.asarray(n), np.asarray(p),
+                               np.asarray(r2, dtype=float),
+                               np.asarray(one_minus_r2, dtype=float))
+    n, p, r2, omr2 = (v.ravel() for v in args)
+    bad = n <= p + 1
+    if bad.any():
+        i = np.argmax(bad)
+        raise DomainError(f"need n > p + 1, got n={n[i]}, p={p[i]}")
+    bad = ~((r2 >= 0.0) & (r2 <= 1.0) & (omr2 >= 0.0))
+    if bad.any():
+        _resolve_r2(float(r2[bad][0]), float(omr2[bad][0]))
+    if np.any((omr2 == 0.0) & (n >= a + p - 1.0) & (n <= p + a + 1.0)):
+        warnings.warn(
+            "exact unit R^2 with n in [p+a-1, p+a+1]: reporting the "
+            "divergent limit", RuntimeWarning, stacklevel=2)
+    log_bf, shrink = _route_table(a, n, p, r2, omr2)
+    return log_bf.reshape(args[0].shape), shrink.reshape(args[0].shape)
 
 
 def log_bf_hyper_g_stats(a: float, n: int, p: int, r2: float,
                          one_minus_r2: float | None = None) -> float:
-    """log of (a-2)/(p+a-2) * 2F1((n-1)/2, 1; (a+p)/2; R^2).
+    """log of (a-2)/(p+a-2) * 2F1((n-1)/2, 1; (a+p)/2; R^2): one model of
+    `hyper_g_scores`.
 
     At R^2 = 1 exactly: finite closed-form limit when n < a+p-1, otherwise
     a +inf sentinel (with a warning in the narrow band n <= p+a+1 where the
     large-sample divergence argument does not directly apply).
     """
-    if n <= p + 1:
-        raise DomainError(f"need n > p + 1, got n={n}, p={p}")
-    r2, omr2 = _resolve_r2(r2, one_minus_r2)
-    lead = math.log(a - 2.0) - math.log(p + a - 2.0)
-    if omr2 == 0.0 and n >= a + p - 1.0:
-        if n <= p + a + 1.0:
-            warnings.warn(
-                "exact unit R^2 with n in [p+a-1, p+a+1]: reporting the "
-                "divergent limit", RuntimeWarning, stacklevel=2)
-        return LOG_BF_INF
-    if _closed_form_applies(a, n, p, omr2):
-        log_bf = float(_closed_form(a, n, p, omr2)[0])
-        if not math.isnan(log_bf):
-            return log_bf
-    z = r2 if omr2 > 0.0 else 1.0
-    return lead + hyp2f1_log(0.5 * (n - 1), 1.0, 0.5 * (a + p), z,
-                             one_minus_z=omr2)
+    omr2 = 1.0 - r2 if one_minus_r2 is None else one_minus_r2
+    return float(hyper_g_scores(a, n, p, r2, omr2)[0])
 
 
 def bf_hyper_g(prior: HyperGPrior, fit: FitSummary) -> float:
@@ -259,7 +267,8 @@ def log_bf_hyper_g_gquad(a: float, n: int, p: int, r2: float,
 
 def shrinkage_hyper_g_stats(a: float, n: int, p: int, r2: float,
                             one_minus_r2: float | None = None) -> float:
-    """Posterior mean of g/(1+g): 2/(p+a) times a ratio of two 2F1 values.
+    """Posterior mean of g/(1+g): 2/(p+a) times a ratio of two 2F1 values,
+    from the route table of `hyper_g_scores`.
 
     At R^2 = 1 exactly the limits are 1 when n >= p+a-1 and 2/(p+a-n+1)
     otherwise (minimum 2/(p+a) at n = 1). Accepts any n >= 1: the formula
@@ -269,21 +278,8 @@ def shrinkage_hyper_g_stats(a: float, n: int, p: int, r2: float,
     if n < 1:
         raise DomainError(f"need n >= 1, got n={n}")
     r2, omr2 = _resolve_r2(r2, one_minus_r2)
-    if omr2 == 0.0:
-        if n >= p + a - 1.0:
-            return 1.0
-        return 2.0 / (p + a - n + 1.0)
-    m = 0.5 * (n - 1)
-    if m == 0.0:
-        return 2.0 / (p + a)
-    if _closed_form_applies(a, n, p, omr2):
-        shrink = float(_closed_form(a, n, p, omr2)[1])
-        if not math.isnan(shrink):
-            return shrink
-    z = r2 if omr2 > 0.0 else 1.0
-    log_num = hyp2f1_log(m, 2.0, 0.5 * (p + a) + 1.0, z, one_minus_z=omr2)
-    log_den = hyp2f1_log(m, 1.0, 0.5 * (p + a), z, one_minus_z=omr2)
-    return (2.0 / (p + a)) * math.exp(log_num - log_den)
+    return float(_route_table(a, np.array([n]), np.array([p]),
+                              np.array([r2]), np.array([omr2]))[1][0])
 
 
 def shrinkage_hyper_g(prior: HyperGPrior, fit: FitSummary) -> float:

@@ -33,7 +33,9 @@ from ._quadlog import adaptive_log_integral, gl_rule, peak_bracket
 from .errors import DomainError, IntegralDiverges, NoConvergence
 from .special import log_inc_gamma_ratio
 
-DEFAULT_BUDGET = 10**6
+_TENSOR_BUDGET = 10**6  # the tensor reference escalates below this many evals
+_QMC_POINTS = 2**16  # Sobol points per randomization of the QMC reference
+_QMC_RANDOMIZATIONS = 32
 
 
 @dataclass(frozen=True)
@@ -202,8 +204,6 @@ def _check_propriety(bpow: np.ndarray, rho: np.ndarray, delta: float,
 
 def block_integrals_quadrature(bpow: np.ndarray, rho: np.ndarray,
                                delta: float, m: float, *,
-                               budget: int = DEFAULT_BUDGET,
-                               refine: float | None = None,
                                rtol: float = 1e-7,
                                ) -> BlockIntegrals:
     """Tensor-product graded quadrature: a test reference for k <= 3 and
@@ -229,11 +229,10 @@ def block_integrals_quadrature(bpow: np.ndarray, rho: np.ndarray,
         log_i0, log_ax = _fold_inactive(bpow, active, 0.0, np.empty(0))
         return BlockIntegrals(log_i0, log_ax, 0.0, 0, "quadrature")
     ba, ra = bpow[active], rho[active]
-    if refine is None:
-        refine = {1: 3.0, 2: 1.4, 3: 0.8}.get(k_act, 0.8)
-        if rtol > 1e-7:
-            # observed convergence: coarsening by f costs ~f^15 in accuracy
-            refine *= (1e-7 / rtol) ** (1.0 / 15.0)
+    refine = {1: 3.0, 2: 1.4, 3: 0.8}.get(k_act, 0.8)
+    if rtol > 1e-7:
+        # observed convergence: coarsening by f costs ~f^15 in accuracy
+        refine *= (1e-7 / rtol) ** (1.0 / 15.0)
     n_gl = 10
     fail_at = max(1e-4, rtol)
     # two resolutions; the coarse/fine gap is the error estimate
@@ -243,7 +242,7 @@ def block_integrals_quadrature(bpow: np.ndarray, rho: np.ndarray,
         err = max(abs(hi0 - lo0), float(np.max(np.abs(hiax - loax))))
         # escalate only if the finer pass would stay inside the budget
         projected = int((n1 + n2) * 1.6 ** k_act)
-        if err < rtol or projected > budget:
+        if err < rtol or projected > _TENSOR_BUDGET:
             break
         refine *= 1.6
     if err > fail_at:
@@ -302,9 +301,7 @@ class _AxisProposal:
 
 
 def block_integrals_qmc(bpow: np.ndarray, rho: np.ndarray, delta: float,
-                        m: float, *, seed: int = 0, n_points: int = 2**16,
-                        n_rand: int = 32,
-                        budget: int = DEFAULT_BUDGET) -> BlockIntegrals:
+                        m: float, *, seed: int = 0) -> BlockIntegrals:
     """Randomized scrambled-Sobol integration via the gamma-mixture form;
     a test reference.
 
@@ -313,8 +310,8 @@ def block_integrals_qmc(bpow: np.ndarray, rho: np.ndarray, delta: float,
     proposal fitted to the exact radial profile, and given lam the axes are
     exactly independent truncated gammas. The importance weight then depends
     on lam only, so its variance reflects just the 1-D proposal fit. The
-    spread of the per-randomization means is the error estimate; the
-    evaluation budget applies per randomization.
+    spread of the _QMC_RANDOMIZATIONS per-randomization means, of
+    _QMC_POINTS points each, is the error estimate.
     """
     from scipy.special import gammainc, gammaincinv
     from scipy.stats import qmc
@@ -328,7 +325,6 @@ def block_integrals_qmc(bpow: np.ndarray, rho: np.ndarray, delta: float,
     if k == 0:
         log_i0, log_ax = _fold_inactive(bpow, active, 0.0, np.empty(0))
         return BlockIntegrals(log_i0, log_ax, 0.0, 0, "monte-carlo")
-    n_points = min(n_points, max(budget, 256))
     beta = ba + 1.0
 
     radial_logf = _radial_logf(beta, ra, delta, m)
@@ -336,13 +332,13 @@ def block_integrals_qmc(bpow: np.ndarray, rho: np.ndarray, delta: float,
     grid = np.linspace(lo, hi, 400)
     prop = _AxisProposal(grid, radial_logf(grid))
 
-    means0 = np.empty(n_rand)
-    means_ax = np.empty((n_rand, k))
+    means0 = np.empty(_QMC_RANDOMIZATIONS)
+    means_ax = np.empty((_QMC_RANDOMIZATIONS, k))
     rng = np.random.default_rng(seed)
-    logn = math.log(n_points)
-    for r in range(n_rand):
+    logn = math.log(_QMC_POINTS)
+    for r in range(_QMC_RANDOMIZATIONS):
         eng = qmc.Sobol(d=k + 1, scramble=True, rng=rng)
-        u = eng.random(n_points)
+        u = eng.random(_QMC_POINTS)
         u = np.clip(u, 1e-12, 1.0 - 1e-12)
         y, logq = prop.sample(u[:, 0])
         logw = radial_logf(y) - logq
@@ -353,7 +349,7 @@ def block_integrals_qmc(bpow: np.ndarray, rho: np.ndarray, delta: float,
             # s | lam is a gamma(beta_i) truncated to lam*rho_i, in s units
             ui = u[:, i + 1]
             tiny = arg < 1e-6
-            logs = np.empty(n_points)
+            logs = np.empty(_QMC_POINTS)
             if np.any(tiny):
                 logs[tiny] = np.log(ui[tiny]) / beta[i]
             big = ~tiny
@@ -362,15 +358,15 @@ def block_integrals_qmc(bpow: np.ndarray, rho: np.ndarray, delta: float,
                                 ui[big] * gammainc(beta[i], arg[big]))
                 logs[big] = np.log(np.maximum(t, 1e-300)) - np.log(arg[big])
             means_ax[r, i] = logsumexp(logw + logs) - logn
-    log_i0a = float(logsumexp(means0) - math.log(n_rand))
-    log_axa = logsumexp(means_ax, axis=0) - math.log(n_rand)
+    log_i0a = float(logsumexp(means0) - math.log(_QMC_RANDOMIZATIONS))
+    log_axa = logsumexp(means_ax, axis=0) - math.log(_QMC_RANDOMIZATIONS)
     scaled = np.exp(means0 - means0.max())
     rel0 = float(np.std(scaled, ddof=1) / np.mean(scaled)
-                 / math.sqrt(n_rand))
+                 / math.sqrt(_QMC_RANDOMIZATIONS))
     log_i0, log_ax = _fold_inactive(bpow, active, log_i0a,
                                     np.atleast_1d(log_axa))
     return BlockIntegrals(log_i0, np.asarray(log_ax), rel0,
-                          n_points * n_rand, "monte-carlo")
+                          _QMC_POINTS * _QMC_RANDOMIZATIONS, "monte-carlo")
 
 
 def _radial_logf(beta: np.ndarray, rho: np.ndarray, delta: float, m: float):

@@ -10,7 +10,6 @@ to.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -85,16 +84,6 @@ class ModelPosterior:
     prior_prob: np.ndarray
     post_prob: np.ndarray
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {"model_id": m.model_id,
-             "gamma_bits": list(m.gamma),
-             "log_bf_null": log_bf,
-             "post_prob": prob}
-            for m, log_bf, prob in zip(self.models, self.log_bf_null.tolist(),
-                                       self.post_prob.tolist())
-        ]
-
     def top_model(self) -> ModelSpec:
         return self.models[int(np.argmax(self.post_prob))]
 
@@ -103,25 +92,31 @@ def enumerate_models(partition: design.BlockPartition,
                      mode: str) -> list[ModelSpec]:
     """All 2^p single-predictor subsets, or 2^k whole-block subsets, in
     `itertools.product((0, 1), repeat=...)` order."""
-    p = partition.p
+    return _model_specs(_model_bits(partition, mode), partition)
+
+
+def _model_bits(partition: design.BlockPartition, mode: str) -> np.ndarray:
+    """The inclusion vectors of `enumerate_models`, as the rows of a 0/1
+    matrix."""
     if mode == "all-subsets":
-        if p > ALL_SUBSETS_MAX_P:
+        if partition.p > ALL_SUBSETS_MAX_P:
             raise BudgetExceeded(
                 f"all-subsets enumeration limited to p <= "
-                f"{ALL_SUBSETS_MAX_P}, got p={p}")
-        return [ModelSpec(gamma=g, partition=partition)
-                for g in map(tuple, _all_subsets_bits(p).tolist())]
+                f"{ALL_SUBSETS_MAX_P}, got p={partition.p}")
+        return _all_subsets_bits(partition.p)
     if mode == "block-subsets":
-        out = []
-        for keep in itertools.product((0, 1), repeat=partition.k):
-            gamma = [0] * p
-            for bi, kept in enumerate(keep):
-                if kept:
-                    for c in partition.blocks[bi]:
-                        gamma[c] = 1
-            out.append(ModelSpec.from_gamma(gamma, partition))
-        return out
+        keep = _all_subsets_bits(partition.k)
+        bits = np.zeros((len(keep), partition.p), dtype=np.uint8)
+        for bi, block in enumerate(partition.blocks):
+            bits[:, list(block)] = keep[:, bi, None]
+        return bits
     raise DomainError(f"unknown enumeration mode {mode!r}")
+
+
+def _model_specs(bits: np.ndarray,
+                 partition: design.BlockPartition) -> list[ModelSpec]:
+    return [ModelSpec(gamma=g, partition=partition)
+            for g in map(tuple, bits.tolist())]
 
 
 def _all_subsets_bits(p: int) -> np.ndarray:
@@ -202,11 +197,9 @@ def model_inference(d: design.CenteredDesign, spec: ModelSpec,
                                y_mean=d.y_mean, x_means=d.x_means[cols])
     if mode == "all-subsets":
         fit = design.fit_least_squares(ds)
-        log_bf = hyperg.log_bf_hyper_g_stats(a, fit.n, fit.p, fit.r2,
-                                             fit.one_minus_r2)
-        shrink = hyperg.shrinkage_hyper_g_stats(a, fit.n, fit.p, fit.r2,
-                                                fit.one_minus_r2)
-        beta = shrink * fit.beta_hat_ls
+        log_bf, shrink = hyperg.hyper_g_scores(a, fit.n, fit.p, fit.r2,
+                                               fit.one_minus_r2)
+        beta = float(shrink) * fit.beta_hat_ls
         method = "closed-form"
     else:
         T = None
@@ -236,9 +229,10 @@ def evaluate_model_space(d: design.CenteredDesign, mode: str,
     per-model pass over the n rows; `model_inference` is the per-model
     reference they agree with.
     """
-    models = enumerate_models(d.partition, mode)
+    bits = _model_bits(d.partition, mode)
+    models = _model_specs(bits, d.partition)
     if mode == "all-subsets":
-        log_bfs, means = _all_subsets_scores(d, _all_subsets_bits(d.p), a)
+        log_bfs, means = _all_subsets_scores(d, bits, a)
         methods = ["closed-form"] * len(models)
     else:
         log_bfs, means, methods = block_subsets_scores(d, models, a,

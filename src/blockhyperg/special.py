@@ -49,7 +49,7 @@ def _series_terms_estimate(a: float, b: float, c: float, z: float) -> float:
     return (max(0.0, a + b - c) + 60.0) / max(lam, 1e-18) + 60.0
 
 
-def log_series_2f1(a, b, c, z, budget: int = _SERIES_BUDGET):
+def log_series_2f1(a, b, c, z):
     """log of the Gauss series, scaled accumulation, Kahan-compensated.
 
     Elementwise over broadcast arrays; a float for scalar arguments. All
@@ -63,7 +63,7 @@ def log_series_2f1(a, b, c, z, budget: int = _SERIES_BUDGET):
         R = z (1 + max(alpha, 0) / (1+K) + max(beta, 0) / ((c+K)(1+K))),
 
     which holds whether the ratios fall toward their limit z or rise toward
-    it. Raises NoConvergence if the term budget is exhausted before the
+    it. Raises NoConvergence if _SERIES_BUDGET terms are summed before the
     tail is negligible.
     """
     shape = np.broadcast_shapes(*(np.shape(v) for v in (a, b, c, z)))
@@ -81,10 +81,10 @@ def log_series_2f1(a, b, c, z, budget: int = _SERIES_BUDGET):
     term = np.ones(idx.shape)
     k = 0
     while idx.size:
-        if k >= budget:
+        if k >= _SERIES_BUDGET:
             raise NoConvergence(
-                f"2F1 series exceeded {budget} terms (a={a[0]}, b={b[0]}, "
-                f"c={c[0]}, z={z[0]})")
+                f"2F1 series exceeded {_SERIES_BUDGET} terms (a={a[0]}, "
+                f"b={b[0]}, c={c[0]}, z={z[0]})")
         r0 = max(float(np.max((a + k) * (b + k) * z
                               / ((c + k) * (1.0 + k)))), 1.0)
         # keep each cumprod inside double range

@@ -126,6 +126,22 @@ class TestConfigErrors:
         assert _run(tmp_path, cfg) == EXIT_CONFIG
 
 
+    @pytest.mark.parametrize("entry", [
+        {"x_star": ["a", "b", "c"]},
+        {"x_star": [1.0, 2.0]},
+        {"x_star": 1.0},
+        {"x_star": [1.0, None, 0.0]},
+        {"output_dir": 5},
+    ])
+    def test_select_entries_checked_before_data(self, tmp_path, capsys,
+                                                entry):
+        # the data file does not exist: the entry must fail first
+        cfg = {"mode": "select", "data": str(tmp_path / "missing.csv"),
+               "response": "y", "blocks": [["x1", "x2"], ["x3"]],
+               "output_dir": str(tmp_path)}
+        assert _run(tmp_path, dict(cfg, **entry)) == EXIT_CONFIG
+        assert "blockhyperg:error:ConfigError:" in capsys.readouterr().err
+
 class TestDataErrors:
     def test_missing_data_file(self, tmp_path, capsys):
         cfg = {"mode": "fit", "data": str(tmp_path / "nope.csv"),

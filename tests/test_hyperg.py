@@ -6,6 +6,7 @@ prior (agreement within 3 standard errors).
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from blockhyperg import hyperg
 from blockhyperg.design import BlockPartition, CenteredDesign, fit_least_squares
 from blockhyperg.errors import DomainError
 from blockhyperg.hyperg import (FixedGPrior, HyperGPrior, InverseGammaParams,
@@ -226,6 +228,79 @@ class TestAgainstMpmath:
                           (got[0][0], got[1][0])):
                 assert bf == pytest.approx(want_bf, rel=1e-12)
                 assert s == pytest.approx(want_s, rel=1e-12)
+
+
+class TestOneRouteTable:
+    """`log_bf_hyper_g_stats` and `shrinkage_hyper_g_stats` are one-model
+    calls of the route table behind `hyper_g_scores`, so each gives exactly
+    the value `hyper_g_scores` gives for that model, in every regime."""
+
+    @staticmethod
+    def _cases():
+        # closed form (1-R^2 <= 1/2, n > p+a+1), series (1-R^2 > 1/2),
+        # the band n <= p+a+1 near R^2 = 1, and exact unit R^2
+        cases = [(a, n, p, omr2)
+                 for a in (2.0 + 1e-6, 3.0, 4.0) for p in (1, 2, 5, 23)
+                 for n in (p + 2, p + 5, 100, 5000)
+                 for omr2 in (0.0, 1e-300, 1e-8, 0.3, 0.5, 0.55, 0.9, 1.0)]
+        # closed-form underflow
+        cases.append((3.0, 3005, 3000, 0.5))
+        # both sides of n = a+p-1 = 25.11, inside the band n <= 27.11 and
+        # above it, down to 1-R^2 = 1e-300 and at unit R^2
+        cases += [(3.1147, n, 23, omr2) for n in (25, 26, 27, 28)
+                  for omr2 in (0.0, 1e-300, 1e-34, 1e-8, 1e-3)]
+        return cases
+
+    def test_scalar_values_are_the_batched_values(self):
+        assert np.isnan(hyperg._closed_form(3.0, 3005, 3000, 0.5)[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for a, n, p, omr2 in self._cases():
+                r2 = 1.0 - omr2
+                bf, s = hyper_g_scores(a, [n], [p], [r2], [omr2])
+                assert log_bf_hyper_g_stats(a, n, p, r2, omr2) == bf[0]
+                assert shrinkage_hyper_g_stats(a, n, p, r2, omr2) == s[0]
+
+    def test_shrinkage_below_p_plus_2(self):
+        # hyper_g_scores refuses n <= p+1; the shrinkage still comes from
+        # its table, with 2/(p+a) at n = 1
+        for a, p in ((3.0, 5), (4.0, 1), (3.1147, 23)):
+            for n in range(1, p + 2):
+                for omr2 in (0.0, 1e-300, 1e-8, 0.3, 0.7, 1.0):
+                    want = hyperg._route_table(
+                        a, np.array([n]), np.array([p]),
+                        np.array([1.0 - omr2]), np.array([omr2]))[1][0]
+                    got = shrinkage_hyper_g_stats(a, n, p, 1.0 - omr2, omr2)
+                    assert got == want
+                    if n == 1:
+                        assert got == 2.0 / (p + a)
+                    with pytest.raises(DomainError):
+                        hyper_g_scores(a, [n], [p], [1.0 - omr2], [omr2])
+
+    def test_domain_checked_before_any_2f1(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("2F1 evaluated before the domain check")
+
+        monkeypatch.setattr(hyperg, "hyp2f1_log", refuse)
+        # a band entry, which needs a 2F1, next to one with n <= p+1
+        with pytest.raises(DomainError):
+            hyper_g_scores(3.1147, [26, 24], [23, 23], [1.0 - 1e-8, 0.5],
+                           [1e-8, 0.5])
+        with pytest.raises(DomainError):
+            hyper_g_scores(3.0, [26], [23], [1.5], [0.0])
+        with pytest.raises(DomainError):
+            hyper_g_scores(3.0, [26], [23], [0.5], [math.nan])
+
+    def test_band_warning_at_unit_r2(self):
+        a, p = 3.1147, 23
+        for n in (25, 26, 27, 28):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                bf, s = hyper_g_scores(a, [n], [p], [1.0], [0.0])
+            assert [w.category for w in seen] == (
+                [RuntimeWarning] if a + p - 1 <= n <= p + a + 1 else [])
+            assert math.isinf(bf[0]) == (n >= a + p - 1)
+            assert s[0] == (1.0 if n >= a + p - 1 else 2.0 / (p + a - n + 1))
 
 
 class TestBoundedBand:
