@@ -242,59 +242,6 @@ def hyp2f1_near1_scaled(a: float, b: float, c: float, z: float,
                     + hyp2f1_log(a, b, c, z, one_minus_z=delta))
 
 
-def log_lower_inc_gamma(s: float, x: float) -> float:
-    """log of gamma(s, x) = int_0^x t^(s-1) e^(-t) dt.
-
-    Series for x < s+1, Lentz continued fraction otherwise; relative error
-    target 1e-12 or better.
-    """
-    if s <= 0 or x < 0:
-        raise DomainError(f"need s > 0 and x >= 0, got s={s}, x={x}")
-    if x == 0.0:
-        return -math.inf
-    if x < s + 1.0:
-        # gamma(s,x) = x^s e^-x * sum_k x^k / (s (s+1) ... (s+k))
-        term = 1.0 / s
-        total = term
-        comp = 0.0
-        for k in range(1, 10_000):
-            term *= x / (s + k)
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            if term < total * 1e-17:
-                return s * math.log(x) - x + math.log(total)
-        raise NoConvergence("incomplete gamma series stalled")
-    # for very large x the upper tail underflows entirely
-    if (s - 1.0) * math.log(x) - x - math.lgamma(s) < -40.0:
-        return math.lgamma(s)
-    # continued fraction for the upper function, then P = 1 - Q
-    tiny = 1e-300
-    b_cf = x + 1.0 - s
-    c_cf = 1.0 / tiny
-    d_cf = 1.0 / b_cf
-    h = d_cf
-    for i in range(1, 10_000):
-        an = -i * (i - s)
-        b_cf += 2.0
-        d_cf = an * d_cf + b_cf
-        if abs(d_cf) < tiny:
-            d_cf = tiny
-        c_cf = b_cf + an / c_cf
-        if abs(c_cf) < tiny:
-            c_cf = tiny
-        d_cf = 1.0 / d_cf
-        delta = d_cf * c_cf
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            log_q = s * math.log(x) - x - math.lgamma(s) + math.log(h)
-            q = math.exp(log_q)
-            # x >= s+1 keeps q comfortably below 1
-            return math.log1p(-q) + math.lgamma(s)
-    raise NoConvergence("incomplete gamma continued fraction stalled")
-
-
 def log_inc_gamma_ratio(beta, x) -> np.ndarray:
     """log[gamma(beta, x) / x^beta] = log int_0^1 s^(beta-1) e^(-x s) ds,
     elementwise over broadcast arrays with beta > 0 and x >= 0.
@@ -342,10 +289,3 @@ def log_inc_gamma_ratio(beta, x) -> np.ndarray:
     out[low] = np.log(total) - xl
     return out
 
-
-def lower_inc_gamma(s: float, x: float) -> float:
-    if s <= 0 or x < 0:
-        raise DomainError(f"need s > 0 and x >= 0, got s={s}, x={x}")
-    if x == 0.0:
-        return 0.0
-    return math.exp(log_lower_inc_gamma(s, x))

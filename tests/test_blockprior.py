@@ -1,5 +1,6 @@
-"""Block prior: reductions to the single-block case, Laplace route,
-divergence sentinels, shrinkage ordering, and the sigma^2 posteriors."""
+"""Block prior: reductions to the single-block case, the Laplace
+approximation, divergence sentinels, shrinkage ordering, and the sigma^2
+posteriors."""
 
 import math
 
@@ -8,11 +9,10 @@ import pytest
 
 from blockhyperg import integrate
 from blockhyperg.blockprior import (BlockHyperGPrior, Sigma2Density,
-                                    _integrated_posterior,
-                                    _laplace_posterior, bf_block_hyper_g,
+                                    _laplace_log_integral, bf_block_hyper_g,
                                     bf_laplace, clp_lower_bound,
-                                    laplace_applicable, laplace_t_star,
-                                    log_bf_laplace, scale_blocks,
+                                    laplace_t_star, log_bf_laplace,
+                                    scale_blocks,
                                     sigma2_density_exact_block,
                                     sigma2_density_limit_block)
 from blockhyperg.design import (BlockPartition, CenteredDesign,
@@ -39,7 +39,7 @@ class TestSingleBlockReduction:
         for seed in range(5):
             d, fit = _ortho_fit(40, (3,), [0.7, -0.4, 0.2], seed=seed)
             prior = BlockHyperGPrior(3.0, d.partition)
-            post = _integrated_posterior(prior, fit, 1e-7)
+            post = bf_block_hyper_g(prior, fit)
             want = log_bf_hyper_g_stats(3.0, fit.n, fit.p, fit.r2,
                                         fit.one_minus_r2)
             assert post.log_bf_null == pytest.approx(want, abs=1e-6)
@@ -47,7 +47,7 @@ class TestSingleBlockReduction:
     def test_shrinkage_matches_closed_form(self):
         d, fit = _ortho_fit(60, (4,), [0.5, 0.5, -0.5, 0.1], seed=3)
         prior = BlockHyperGPrior(3.4, d.partition)
-        post = _integrated_posterior(prior, fit, 1e-7)
+        post = bf_block_hyper_g(prior, fit)
         want = shrinkage_hyper_g_stats(3.4, fit.n, fit.p, fit.r2,
                                        fit.one_minus_r2)
         assert post.t_mean[0] == pytest.approx(want, abs=1e-6)
@@ -69,7 +69,7 @@ class TestBlockPosterior:
         # block 2 carries no signal: its shrinkage stays near the floor
         d, fit = _ortho_fit(400, (2, 2), [2.0, -2.0, 0.0, 0.0], seed=2)
         prior = BlockHyperGPrior(3.0, d.partition)
-        post = _integrated_posterior(prior, fit, 1e-7)
+        post = bf_block_hyper_g(prior, fit)
         floor = 2.0 / (3.0 + 2.0)
         assert post.t_mean[1] >= floor - 1e-12
         assert post.t_mean[1] < 0.7
@@ -86,7 +86,7 @@ class TestBlockPosterior:
             d, fit = _ortho_fit(35, sizes, beta, seed=100 + trial)
             a = float(rng.uniform(2.2, 4.0))
             prior = BlockHyperGPrior(a, d.partition)
-            post = _integrated_posterior(prior, fit, 1e-7)
+            post = bf_block_hyper_g(prior, fit)
             m = 0.5 * (fit.n - 1)
             for i in range(2):
                 r_m = float(fit.r2_blocks[i])
@@ -105,8 +105,7 @@ class TestBlockPosterior:
         d, fit = _ortho_fit(1201, (402, 2), np.zeros(404), seed=3)
         fit = dataclasses.replace(fit, r2=0.7, one_minus_r2=0.3,
                                   r2_blocks=np.array([0.5, 0.2]))
-        post = _integrated_posterior(BlockHyperGPrior(3.0, d.partition),
-                                     fit, 1e-7)
+        post = bf_block_hyper_g(BlockHyperGPrior(3.0, d.partition), fit)
         assert post.method == "gamma1d"
         assert post.log_bf_null == pytest.approx(
             2.0 * math.log(0.5) + 226.494230596882, abs=1e-10)
@@ -227,13 +226,13 @@ class TestLaplace:
         rng = np.random.default_rng(9)
         d, fit = _ortho_fit(2000, (4, 5), 0.05 * rng.normal(size=9),
                             seed=9)
-        prior = BlockHyperGPrior(3.5, d.partition)
-        exact = _integrated_posterior(prior, fit, 1e-7)
-        lap = _laplace_posterior(prior, fit)
-        assert lap.method == "laplace"
-        assert lap.log_bf_null == pytest.approx(exact.log_bf_null,
-                                                rel=0.05)
-        np.testing.assert_allclose(lap.t_mean, exact.t_mean, atol=0.05)
+        a = 3.5
+        prior = BlockHyperGPrior(a, d.partition)
+        exact = bf_block_hyper_g(prior, fit)
+        lap = 2 * math.log(0.5 * (a - 2.0)) + _laplace_log_integral(
+            a, np.array(fit.p_i, dtype=float), fit.r2_blocks,
+            0.5 * (fit.n - 1))
+        assert lap == pytest.approx(exact.log_bf_null, rel=0.05)
 
     def test_small_a_single_predictor_adjustment(self):
         # 2 < a < 3 with a p_i = 1 block exercises the rewritten exponent
@@ -244,9 +243,9 @@ class TestLaplace:
         assert got == pytest.approx(0.0)  # same model both sides
         # against the full model vs a sub-block reference
         d2, fit2 = _ortho_fit(1500, (3,), [0.05, -0.05, 0.06], seed=11)
-        exact = (_integrated_posterior(prior, fit, 1e-7).log_bf_null
-                 - _integrated_posterior(BlockHyperGPrior(2.6, d2.partition),
-                                         fit2, 1e-7).log_bf_null)
+        exact = (bf_block_hyper_g(prior, fit).log_bf_null
+                 - bf_block_hyper_g(BlockHyperGPrior(2.6, d2.partition),
+                                    fit2).log_bf_null)
         got = log_bf_laplace(prior, fit, fit2, d2.partition)
         assert got == pytest.approx(exact, abs=0.3)
         assert bf_laplace(prior, fit, fit2, d2.partition) == pytest.approx(
@@ -256,41 +255,32 @@ class TestLaplace:
         d, fit = _ortho_fit(500, (1, 2), [0.1, 0.1, 0.1], seed=12)
         prior = BlockHyperGPrior(3.0, d.partition)
         with pytest.raises(OutOfInterior):
-            _laplace_posterior(prior, fit)
-
-    def test_gate(self):
-        d_small, fit_small = _ortho_fit(100, (2, 2), [0.3, 0.3, 0.3, 0.3])
-        prior = BlockHyperGPrior(3.0, d_small.partition)
-        assert not laplace_applicable(prior, fit_small)  # n < 200
-        # strong signal pushes t* above 0.98 at large n: gate refuses
-        d_big, fit_big = _ortho_fit(2000, (2, 2), [1.0, 1.0, 1.0, 1.0])
-        assert not laplace_applicable(prior, fit_big)
-        # weak signal with interior t*: gate opens and auto uses it
-        d_w, fit_w = _ortho_fit(2000, (2, 2), [0.07] * 4, seed=13)
-        assert laplace_applicable(prior, fit_w)
-        assert bf_block_hyper_g(prior, fit_w).method == "laplace"
-        assert bf_block_hyper_g(prior, fit_big).method == "gamma1d"
+            log_bf_laplace(prior, fit, fit)
 
 
-    def test_fallback_when_laplace_refuses(self):
-        # the gate opens in both fits; at seed 0 a bumped-exponent
-        # maximizer leaves the interior, so the 1-D route answers
-        for seed, route in ((0, "gamma1d"), (5, "laplace")):
-            d, fit = _ortho_fit(400, (2, 2), [0.3, 0.3, 0.05, 0.05],
-                                seed=seed)
-            prior = BlockHyperGPrior(3.0, d.partition)
-            assert laplace_applicable(prior, fit)
-            post = bf_block_hyper_g(prior, fit)
-            assert post.method == route
-            if route == "gamma1d":
-                with pytest.raises(OutOfInterior):
-                    _laplace_posterior(prior, fit)
-                want = _integrated_posterior(prior, fit, 1e-7)
-            else:
-                want = _laplace_posterior(prior, fit)
-            assert post.log_bf_null == want.log_bf_null
-            np.testing.assert_array_equal(post.t_mean, want.t_mean)
-            assert post.error_estimate == want.error_estimate
+class TestNoLaplaceRoute:
+    @pytest.mark.parametrize("n, beta, seed", [
+        (400, [0.3, 0.3, 0.05, 0.05], 5),
+        (2000, [0.07] * 4, 13),
+    ], ids=["n400_seed5", "n2000_seed13"])
+    def test_weak_signal_large_n_is_integrated(self, n, beta, seed):
+        # n >= 200 with every Laplace maximizer inside (0.02, 0.98), but
+        # n R_i^2 is small, so the t-posterior is not concentrated: the
+        # Laplace value is off by about 0.3 in log BF. The posterior must
+        # agree with the independent tensor reference
+        d, fit = _ortho_fit(n, (2, 2), beta, seed=seed)
+        a = 3.0
+        prior = BlockHyperGPrior(a, d.partition)
+        post = bf_block_hyper_g(prior, fit)
+        assert post.method == "gamma1d"
+        ref = integrate.block_integrals_quadrature(
+            prior.b_powers(), np.asarray(fit.r2_blocks, dtype=float),
+            fit.one_minus_r2, 0.5 * (fit.n - 1), rtol=1e-7)
+        assert post.log_bf_null == pytest.approx(
+            2 * math.log(0.5 * (a - 2.0)) + ref.log_i0, abs=1e-6)
+        np.testing.assert_allclose(post.t_mean, ref.t_mean, rtol=0,
+                                   atol=1e-6)
+        assert np.all(post.t_mean >= 2.0 / (a + np.array(fit.p_i)))
 
 
 class TestSigma2:
