@@ -134,8 +134,8 @@ def peak_bracket(logf, x_c: float) -> tuple[float, float, float]:
 
     The scan covers x_c +- 30 and moves by 30 while some column's highest
     point is at an edge. A NaN value counts as not negligible. Raises
-    NoConvergence when 40 moves do not find the peaks, or 40 steps of 20
-    do not reach a negligible end on both sides.
+    NoConvergence when 40 moves do not find the peaks, or 80 steps of 20
+    (a tail as slow as e^(-0.04 |x|)) do not reach a negligible end.
     """
     for _ in range(40):
         grid = np.linspace(x_c - 30.0, x_c + 30.0, 61)
@@ -159,7 +159,7 @@ def peak_bracket(logf, x_c: float) -> tuple[float, float, float]:
     high = np.flatnonzero(neg[i_hi:])
     lo = float(grid[low[-1]]) if low.size else x_c - 30.0
     hi = float(grid[i_hi + high[0]]) if high.size else x_c + 30.0
-    for _ in range(40):
+    for _ in range(80):
         done = negligible(logf(np.array([lo, hi])))
         if done.all():
             return lo, hi, x_pk

@@ -12,8 +12,9 @@ from the residual sum of squares; that keeps the extreme near-unit-R^2
 regimes exact. For every k the integrals go through the gamma-mixture 1-D
 reduction (integrate.block_integrals_gamma1d), which evaluates the Bayes
 factor integral and every block's shrinkage numerator in one shared pass.
-The sigma^2 density likewise gets its normalizer and mean numerator from
-one two-column integral.
+The sigma^2 posterior is the same integral: with lam = 1/(2 s2) its
+normalizer is J(0) and its mean is a closed form in the E[s_i | y], so a
+block fit reports it from the pass that gave its Bayes factor.
 
 bf_block_hyper_g is the one entry point for a block posterior: it returns
 the log Bayes factor and every block's E[t_i | y] together, from the
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate
-from ._quadlog import adaptive_log_integral, peak_bracket
 from .design import BlockPartition, FitSummary
 from .errors import (DomainError, IntegralDiverges, NoConvergence,
                      NotBlockOrthogonal, OutOfInterior)
@@ -60,12 +60,13 @@ class BlockHyperGPrior:
 
 @dataclass(frozen=True)
 class ShrinkagePosterior:
-    """Posterior block shrinkage means plus the log Bayes factor vs null."""
+    """Block shrinkage means, log BF vs null, and E[sigma^2 | y] or None."""
 
     t_mean: np.ndarray
     log_bf_null: float
     method: str
     error_estimate: float
+    sigma2_mean: float | None
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,8 @@ def _limit_posterior(prior: BlockHyperGPrior, rho: np.ndarray,
     p_i = np.asarray(prior.partition.sizes, dtype=float)
     t_mean = np.where(rho > 0.0, 1.0, 2.0 / (prior.a + p_i))
     return ShrinkagePosterior(t_mean=t_mean, log_bf_null=math.inf,
-                              method="limit", error_estimate=0.0)
+                              method="limit", error_estimate=0.0,
+                              sigma2_mean=None)
 
 
 def bf_block_hyper_g(prior: BlockHyperGPrior, fit: FitSummary, *,
@@ -111,15 +113,15 @@ def bf_block_hyper_g(prior: BlockHyperGPrior, fit: FitSummary, *,
     """The block posterior: log BF(model : null) = k log((a-2)/2) + log of
     the t-integral, and every block's shrinkage E[t_i | y] from the same
     gamma-mixture integrals; the limit sentinel when the integral diverges
-    at unit R^2.
+    at unit R^2. The same E[s_i | y] give E[sigma^2 | y] (`_sigma2_mean`).
 
     Block i of the posterior mean of beta is block i of the LS estimate
     times t_mean[i] (`scale_blocks`).
     """
-    _require_block_orthogonal(fit)
-    _check_partition(prior, fit)
+    _, rss, _, q = _sigma2_pieces(prior, fit)  # checks fit and partition
     a = prior.a
     k = prior.k
+    m = 0.5 * (fit.n - 1)
     rho = np.clip(np.asarray(fit.r2_blocks, dtype=float), 0.0, 1.0)
     delta = max(float(fit.one_minus_r2), 0.0)
     if delta <= 0.0:
@@ -130,8 +132,8 @@ def bf_block_hyper_g(prior: BlockHyperGPrior, fit: FitSummary, *,
             raise IntegralDiverges(
                 "unit R^2 at the exact propriety boundary "
                 f"n = k(a-2)+p+1 = {thresh}")
-    res = integrate.block_integrals_gamma1d(prior.b_powers(), rho, delta,
-                                            0.5 * (fit.n - 1), rtol=rtol)
+    res = integrate.block_integrals_gamma1d(prior.b_powers(), rho, delta, m,
+                                            rtol=rtol)
     t_mean = res.t_mean
     floor = 2.0 / (a + np.asarray(prior.partition.sizes, dtype=float))
     if np.any(t_mean < floor - 1e-6) or np.any(t_mean > 1.0):
@@ -141,7 +143,8 @@ def bf_block_hyper_g(prior: BlockHyperGPrior, fit: FitSummary, *,
     log_bf = k * math.log(0.5 * (a - 2.0)) + res.log_i0
     return ShrinkagePosterior(t_mean=np.clip(t_mean, floor, 1.0),
                               log_bf_null=log_bf, method=res.method,
-                              error_estimate=res.error)
+                              error_estimate=res.error,
+                              sigma2_mean=_sigma2_mean(rss, q, res.s_mean, m))
 
 
 def scale_blocks(beta: np.ndarray, partition: BlockPartition,
@@ -279,6 +282,15 @@ def laplace_applicable(prior: BlockHyperGPrior, fit: FitSummary) -> bool:
     return bool(np.all((point.t_star > 0.02) & (point.t_star < 0.98)))
 
 
+def _sigma2_mean(rss: float, q: np.ndarray, s_mean: np.ndarray,
+                 m: float) -> float | None:
+    """E[s2] = (rss + sum_j q_j E[s_j]) / (2(M-1)) in Sigma2Density's terms,
+    with M = m; None unless rss > 0 and M > 1."""
+    if rss <= 0.0 or m <= 1.0:
+        return None
+    return (rss + float(q @ s_mean)) / (2.0 * (m - 1.0))
+
+
 class Sigma2Density:
     """Normalized sigma^2 density of the family
 
@@ -286,8 +298,11 @@ class Sigma2Density:
 
     Both the exact finite-scale posteriors and their large-sample limits
     live here; they differ only in which incomplete-gamma factors survive.
-    Proper iff alpha + sum nu_j > 0 (the gamma factors decay like
-    (1/s2)^nu_j for large s2).
+    Proper iff M = alpha + sum nu_j > 0 (the gamma factors decay like
+    (1/s2)^nu_j for large s2). With lam = 1/(2 s2) and S = rss + sum q_j
+    the normalizer is 2^alpha Gamma(M) prod_j q_j^nu_j S^(-M) J(0), J the
+    block integral of integrate.py at b_j = nu_j - 1, rho_j = q_j/S,
+    delta = rss/S and m = M, whose E[s_j] give the mean (`_sigma2_mean`).
     """
 
     def __init__(self, alpha: float, rss: float, nu: np.ndarray,
@@ -296,34 +311,21 @@ class Sigma2Density:
         self.rss = float(rss)
         self.nu = np.asarray(nu, dtype=float)
         self.q = np.asarray(q, dtype=float)
-        if self.alpha + float(self.nu.sum()) <= 0.0:
+        m = self.alpha + float(self.nu.sum())
+        if m <= 0.0:
             raise DomainError("sigma^2 density is improper for these "
                               "(n, a, p) values")
         if self.rss <= 0.0:
             raise DomainError("requires a positive residual sum of squares")
         if np.any(self.q <= 0.0) or np.any(self.nu <= 0.0):
             raise DomainError("incomplete gamma factors need q_j, nu_j > 0")
-        a_eff = max(self.alpha + float(self.nu.sum()), self.alpha, 1.0)
-        self._x_c = math.log((self.rss + float(self.q.sum()))
-                             / (2.0 * a_eff))
-        # the normalizer and, when the mean exists, its numerator (one more
-        # factor s2) share one bracket and one panel set
-        self._log_mean_num = None
-        if self.alpha + float(self.nu.sum()) > 1.0:
-            def logf(x: np.ndarray) -> np.ndarray:
-                return self._log_unnorm_x(x)[:, None] + np.stack(
-                    [np.zeros_like(x), x], axis=1)
-            (norm, num), _ = self._log_integral(logf)
-            self._log_norm, self._log_mean_num = float(norm), float(num)
-        else:
-            self._log_norm, _ = self._log_integral(self._log_unnorm_x)
-
-    def _log_integral(self, logf):
-        """log of the integral of exp(logf) over x = log s2, and its error
-        estimate (per column for a vector-valued logf)."""
-        lo, hi, x_pk = peak_bracket(logf, self._x_c)
-        return adaptive_log_integral(logf, lo, hi, rtol=1e-10,
-                                     seed_points=(x_pk,))
+        s = self.rss + float(self.q.sum())
+        res = integrate.block_integrals_gamma1d(self.nu - 1.0, self.q / s,
+                                                self.rss / s, m)
+        self._log_norm = (self.alpha * math.log(2.0) + math.lgamma(m)
+                          + float(self.nu @ np.log(self.q))
+                          - m * math.log(s) + res.log_i0)
+        self._mean = _sigma2_mean(self.rss, self.q, res.s_mean, m)
 
     def _log_unnorm(self, s2: np.ndarray) -> np.ndarray:
         s2 = np.asarray(s2, dtype=float)
@@ -334,25 +336,16 @@ class Sigma2Density:
             return out + (log_inc_gamma_ratio(self.nu, y)
                           + self.nu * np.log(y)).sum(axis=-1)
 
-    def _log_unnorm_x(self, x: np.ndarray) -> np.ndarray:
-        # includes the Jacobian of s2 = e^x
-        with np.errstate(over="ignore"):
-            s2 = np.exp(x)
-        return self._log_unnorm(s2) + x
-
     def logpdf(self, s2: np.ndarray) -> np.ndarray:
         return self._log_unnorm(s2) - self._log_norm
 
     def pdf(self, s2: np.ndarray) -> np.ndarray:
         return np.exp(self.logpdf(s2))
 
-    def __call__(self, s2: np.ndarray) -> np.ndarray:
-        return self.pdf(s2)
-
     def mean(self) -> float:
-        if self._log_mean_num is None:
+        if self._mean is None:
             raise DomainError("mean does not exist for this density")
-        return math.exp(self._log_mean_num - self._log_norm)
+        return self._mean
 
     def mean_bound(self, a: float, p1: int, n: int) -> float:
         """Closed-form upper bound on the limit mean, for n > a + p1 + 1."""

@@ -81,9 +81,9 @@ def _validate_config(cfg: dict) -> dict:
                 f"unknown experiment {name!r}; choose from "
                 f"{', '.join(EXPERIMENT_NAMES)}")
     prior = cfg.setdefault("prior", {"type": "block-hyper-g", "a": 3.0})
-    ptype = prior.get("type")
+    ptype = prior.get("type") if isinstance(prior, dict) else None
     if ptype not in ("fixed-g", "hyper-g", "block-hyper-g"):
-        raise ConfigError(f"unknown prior type {prior.get('type')!r}")
+        raise ConfigError(f"'prior' needs a known 'type', got {prior!r}")
     if ptype == "fixed-g":
         g = prior.get("g")
         if not isinstance(g, (int, float)) or not (g >= 0
@@ -100,7 +100,9 @@ def _validate_config(cfg: dict) -> dict:
             raise ConfigError(f"mode {mode!r} requires a 'response' column")
         blocks = cfg.get("blocks")
         if (not isinstance(blocks, list) or not blocks
-                or not all(isinstance(b, list) and b for b in blocks)):
+                or not all(isinstance(b, list) and b
+                           and all(isinstance(c, str) for c in b)
+                           for b in blocks)):
             raise ConfigError(
                 "'blocks' must be a non-empty list of column-name lists")
     if mode == "select" and cfg.get("enumeration", "block-subsets") not in (
@@ -116,7 +118,8 @@ def _validate_config(cfg: dict) -> dict:
             raise ConfigError(f"'x_star' needs {p} finite numbers, one per "
                               "predictor in 'blocks'")
     cfg.setdefault("seed", 0)
-    _config_value(cfg, "seed", 0, int)
+    if _config_value(cfg, "seed", 0, int) < 0:
+        raise ConfigError(f"'seed' must be >= 0, got {cfg['seed']}")
     cfg.setdefault("orthogonalize", False)
     if not isinstance(cfg.setdefault("output_dir", "."), str):
         raise ConfigError("'output_dir' must be a directory path string")
@@ -231,12 +234,8 @@ def cmd_fit(cfg: dict) -> int:
         log_bf, shrink = post.log_bf_null, post.t_mean
         mean = blockprior.scale_blocks(fit.beta_hat_ls, d.partition, shrink)
         method, error = post.method, post.error_estimate
-        try:
-            dens = blockprior.sigma2_density_exact_block(bprior, fit)
-            if dens.alpha + float(dens.nu.sum()) > 1.0:
-                report["sigma2_posterior_mean"] = dens.mean()
-        except DomainError:
-            pass  # improper or degenerate: omit the summary
+        if post.sigma2_mean is not None:
+            report["sigma2_posterior_mean"] = post.sigma2_mean
     else:
         if prior["type"] == "fixed-g":
             g = float(prior["g"])
@@ -319,12 +318,15 @@ def _sequence_from_config(cfg: dict) -> experiments.SequenceSpec:
     if n <= sum(sizes):
         raise ConfigError(
             f"'n' must exceed the {sum(sizes)} predictors, got n={n}")
-    return experiments.standard_sequence(
-        n=n, sizes=sizes,
-        a=float(cfg["prior"].get("a", 3.0)), seed=int(cfg["seed"]),
-        scales=_config_value(cfg, "scales", experiments.DEFAULT_SCALES,
-                             lambda v: tuple(float(c) for c in v)),
-        noise=_config_value(cfg, "noise", 1.0, float))
+    scales = _config_value(cfg, "scales", experiments.DEFAULT_SCALES,
+                           lambda v: tuple(float(c) for c in v))
+    try:
+        return experiments.standard_sequence(
+            n=n, sizes=sizes,
+            a=float(cfg["prior"].get("a", 3.0)), seed=int(cfg["seed"]),
+            scales=scales, noise=_config_value(cfg, "noise", 1.0, float))
+    except DomainError as exc:  # e.g. scales not strictly increasing
+        raise ConfigError(f"invalid sequence: {exc}") from None
 
 
 def cmd_experiment(cfg: dict) -> int:

@@ -206,12 +206,11 @@ def fit_least_squares(d: CenteredDesign) -> FitSummary:
         n=n, p=p, p_i=d.partition.sizes, alpha_hat=d.y_mean,
         beta_hat_ls=beta, sigma2_hat=sigma2_hat, r2=r2,
         r2_blocks=r2_blocks, yty=yty, one_minus_r2=one_minus_r2,
-        block_orthogonal=check_block_orthogonality(d, ORTHO_TOL))
+        block_orthogonal=check_block_orthogonality(d))
 
 
-def check_block_orthogonality(d: CenteredDesign,
-                              tol: float = ORTHO_TOL) -> bool:
-    """True iff max_(i != j) |X_i^T X_j| <= tol * max column norm squared."""
+def check_block_orthogonality(d: CenteredDesign) -> bool:
+    """True iff max_(i != j) |X_i^T X_j| <= ORTHO_TOL * max column norm^2."""
     k = d.partition.k
     if k == 1:
         return True
@@ -221,7 +220,7 @@ def check_block_orthogonality(d: CenteredDesign,
     for i in range(k):
         Xi = d.block(i)
         for j in range(i + 1, k):
-            if np.max(np.abs(Xi.T @ d.block(j))) > tol * scale:
+            if np.max(np.abs(Xi.T @ d.block(j))) > ORTHO_TOL * scale:
                 return False
     return True
 

@@ -330,10 +330,10 @@ def log_bf_ratio_hyper_g(prior: HyperGPrior, fit_big: FitSummary,
     """
     _check_same_data(fit_big, fit_small)
     a = prior.a
-    lb = log_bf_hyper_g_stats(a, fit_big.n, fit_big.p, fit_big.r2,
-                              fit_big.one_minus_r2)
-    ls = log_bf_hyper_g_stats(a, fit_small.n, fit_small.p, fit_small.r2,
-                              fit_small.one_minus_r2)
+    fits = (fit_big, fit_small)
+    lb, ls = hyper_g_scores(a, [f.n for f in fits], [f.p for f in fits],
+                            [f.r2 for f in fits],
+                            [f.one_minus_r2 for f in fits])[0].tolist()
     if math.isinf(lb) and math.isinf(ls):
         n, p1, p2 = fit_small.n, fit_small.p, fit_big.p
         if n < a + p1 - 1.0:

@@ -8,7 +8,9 @@ in log space, where s_i = 1 - t_i, rho_i is the block R_i^2, and
 delta = 1 - sum_i rho_i. e = 0 gives the Bayes-factor integral; e = unit
 vector i gives the numerator of E[s_i | y] (so the block shrinkage is
 t_mean[i] = 1 - J(e_i)/J(0)). Working in the s coordinates keeps the coupling
-term delta + rho.s exact even when individual R_i^2 round to 1.
+term delta + rho.s exact even when individual R_i^2 round to 1. The sigma^2
+posteriors of blockprior.Sigma2Density are members too: their normalizer
+is J(0) with b_j = nu_j - 1, and their mean is linear in the J(e_j)/J(0).
 
 The library computes them with block_integrals_gamma1d for every k: a
 gamma mixture over a radial scale lam reduces each J(e) to one integral

@@ -2,6 +2,7 @@
 approximation, divergence sentinels, shrinkage ordering, and the sigma^2
 posteriors."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -312,6 +313,58 @@ class TestSigma2:
         assert total == pytest.approx(1.0, abs=1e-8)
         lim = sigma2_density_limit_block(prior, fit)
         assert lim.mean() <= lim.mean_bound(3.0, fit.p_i[0], fit.n) + 1e-12
+
+    @pytest.mark.parametrize("alpha, rss, q", [(-0.95, 2.0, 3.0),
+                                               (-0.5, 1.0, 1e4),
+                                               (0.4, 1.0, 1e-3)])
+    def test_one_factor_normalizer_closed_form(self, alpha, rss, q):
+        # nu = 1: gamma(1, y) = 1 - e^-y, so the normalizer is
+        # Gamma(alpha) 2^alpha (rss^-alpha - (rss+q)^-alpha); at
+        # alpha = -0.95 (M = 0.05) the lam -> 0 tail falls like e^(0.05 x)
+        dens = Sigma2Density(alpha, rss, np.array([1.0]), np.array([q]))
+        norm = math.gamma(alpha) * 2.0 ** alpha * (rss ** -alpha
+                                                   - (rss + q) ** -alpha)
+        s2 = np.array([0.1, 1.0, 30.0])
+        want = (s2 ** -(alpha + 1.0) * np.exp(-0.5 * rss / s2)
+                * -np.expm1(-0.5 * q / s2) / norm)
+        np.testing.assert_allclose(dens.pdf(s2), want, rtol=1e-12)
+
+    def test_mean_of_dominant_block_fit(self):
+        # E[s_1] is about 3e-14 here and q_1 about 1e12: the closed-form
+        # mean must use E[s_1] itself (1 - E[t_1] is off by 7e-6)
+        d, fit = _ortho_fit(80, (2, 2), [0.8e6, -0.6e6, 0.4, 0.4], seed=2)
+        prior = BlockHyperGPrior(3.0, d.partition)
+        dens = sigma2_density_exact_block(prior, fit)
+        x = np.linspace(math.log(fit.sigma2_hat) - 8.0,
+                        math.log(fit.sigma2_hat) + 10.0, 40_000)
+        s2 = np.exp(x)
+        want = np.trapezoid(dens.pdf(s2) * s2 * s2, x)
+        assert dens.mean() == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("beta", [[0.8, -0.6, 0.4, 0.4],
+                                      [0.8e6, -0.6e6, 0.4, 0.4],
+                                      [0.8, -0.6, 0.0, 0.0]])
+    def test_block_posterior_carries_the_density_mean(self, beta):
+        d, fit = _ortho_fit(80, (2, 2), beta, seed=2)
+        prior = BlockHyperGPrior(3.0, d.partition)
+        want = sigma2_density_exact_block(prior, fit).mean()
+        assert bf_block_hyper_g(prior, fit).sigma2_mean == pytest.approx(
+            want, rel=1e-10)
+
+    def test_block_posterior_mean_absent(self):
+        # rss = 0 (the limit sentinel) and n = 3 (M = 1): no mean
+        d, fit = _ortho_fit(40, (2, 1), [0.5, -0.4, 0.3], seed=1)
+        prior = BlockHyperGPrior(3.0, d.partition)
+        exact = dataclasses.replace(fit, sigma2_hat=0.0, r2=1.0,
+                                    one_minus_r2=0.0)
+        post = bf_block_hyper_g(prior, exact)
+        assert post.method == "limit" and post.sigma2_mean is None
+        d, fit = _ortho_fit(3, (1,), [0.5], seed=1)
+        prior = BlockHyperGPrior(3.0, d.partition)
+        post = bf_block_hyper_g(prior, fit)
+        assert post.method == "gamma1d" and post.sigma2_mean is None
+        with pytest.raises(DomainError):
+            sigma2_density_exact_block(prior, fit).mean()
 
     def test_density_validation(self):
         with pytest.raises(DomainError):

@@ -142,6 +142,30 @@ class TestConfigErrors:
         assert _run(tmp_path, dict(cfg, **entry)) == EXIT_CONFIG
         assert "blockhyperg:error:ConfigError:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [
+        {"mode": "experiment:els", "prior": "hyper-g"},
+        {"mode": "fit", "prior": ["block-hyper-g"]},
+        {"mode": "experiment:clp", "scales": [10, 1]},
+        {"mode": "experiment:sigma2", "scales": [5.0]},
+        {"mode": "fit", "blocks": [[1], [2]]},
+        {"mode": "select", "blocks": [["x1", 2]]},
+    ], ids=["prior-string", "prior-list", "scales-decreasing",
+            "scales-single", "blocks-ints", "blocks-mixed"])
+    def test_malformed_entry(self, tmp_path, capsys, entry):
+        # each ended in a traceback, a numerical or a data failure before
+        cfg = {"data": str(tmp_path / "missing.csv"), "response": "y",
+               "blocks": [["x1", "x2"], ["x3"]], "output_dir": str(tmp_path)}
+        assert _run(tmp_path, dict(cfg, **entry)) == EXIT_CONFIG
+        assert "blockhyperg:error:ConfigError:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", cli.EXPERIMENT_NAMES)
+    def test_negative_seed(self, tmp_path, capsys, name):
+        cfg = {"mode": f"experiment:{name}", "output_dir": str(tmp_path)}
+        assert _run(tmp_path, dict(cfg, seed=-1)) == EXIT_CONFIG
+        assert _run(tmp_path, cfg, ["--seed", "-5"]) == EXIT_CONFIG
+        assert "blockhyperg:error:ConfigError:" in capsys.readouterr().err
+
+
 class TestDataErrors:
     def test_missing_data_file(self, tmp_path, capsys):
         cfg = {"mode": "fit", "data": str(tmp_path / "nope.csv"),
@@ -203,6 +227,27 @@ class TestFit:
         assert "sigma2_posterior_mean" in report
         assert len(report["config_hash"]) == 64
         assert report["version"]
+
+    def test_block_fit_integrates_once(self, tmp_path, monkeypatch):
+        # the sigma^2 mean comes from the block posterior's own integral;
+        # every module's binding of the 1-D integrator is counted
+        import sys
+
+        from blockhyperg import _quadlog
+        real, calls = _quadlog.adaptive_log_integral, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("blockhyperg")
+                    and getattr(mod, "adaptive_log_integral", None) is real):
+                monkeypatch.setattr(mod, "adaptive_log_integral", counting)
+        cfg = self._fit_cfg(tmp_path, {"type": "block-hyper-g", "a": 3.0})
+        assert _run(tmp_path, cfg) == EXIT_OK
+        report = json.loads((tmp_path / "fit.json").read_text())
+        assert report["sigma2_posterior_mean"] > 0
+        assert len(calls) == 1
 
     def test_hyper_g_report(self, tmp_path):
         cfg = self._fit_cfg(tmp_path, {"type": "hyper-g", "a": 3.0})
