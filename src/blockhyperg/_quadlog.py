@@ -15,6 +15,7 @@ from .errors import NoConvergence
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _MAX_PANELS = 2048
+_N_NODES = 12  # GL nodes per panel; the error estimate uses twice as many
 
 
 def gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -70,7 +71,6 @@ def adaptive_log_integral(
     *,
     rtol: float = 1e-12,
     seed_points: tuple[float, ...] = (),
-    n_nodes: int = 12,
 ):
     """log of integral of exp(logf) over [lo, hi], with an error estimate.
 
@@ -95,8 +95,8 @@ def adaptive_log_integral(
     edges = np.concatenate(edges + [pts[-1:]])
 
     for _ in range(60):
-        lo_est = _panel_log_integrals(logf, edges, n_nodes)
-        hi_est = _panel_log_integrals(logf, edges, 2 * n_nodes)
+        lo_est = _panel_log_integrals(logf, edges, _N_NODES)
+        hi_est = _panel_log_integrals(logf, edges, 2 * _N_NODES)
         scalar = lo_est.ndim == 1
         lo_est = lo_est.reshape(len(lo_est), -1)
         hi_est = hi_est.reshape(len(hi_est), -1)
@@ -128,22 +128,27 @@ def peak_bracket(logf, x_c: float) -> tuple[float, float, float]:
     seed point for the panels.
 
     logf may return an (N, K) array of K integrands, as for
-    adaptive_log_integral. The interval then covers them all: an end is
-    negligible only when every column there is 60 below that column's own
-    peak, and the seed point is the first column's peak.
+    adaptive_log_integral. The interval then covers them all, and the seed
+    point is the first column's peak.
 
-    The scan covers x_c +- 30 and moves by 30 while some column's highest
-    point is at an edge. A NaN value counts as not negligible. Raises
-    NoConvergence when 40 moves do not find the peaks, or 80 steps of 20
-    (a tail as slow as e^(-0.04 |x|)) do not reach a negligible end.
+    The scan covers x_c +- 30 and moves by 30 while column 0's highest
+    point is at an edge. It follows column 0 only: another column may peak
+    hundreds of units away (J(0) near log(1/delta), a J(e_i) far below),
+    and a window that waits for every peak swings between them. A column's
+    cut is its highest scanned value - 60, at or below its true peak - 60,
+    and the ends walk out until every column is below its cut, so by
+    unimodality every column is negligible outside the interval. A NaN
+    value counts as not negligible. Raises NoConvergence when 40 moves do
+    not find column 0's peak, or 80 steps of 20 (a tail as slow as
+    e^(-0.04 |x|)) do not reach a negligible end.
     """
     for _ in range(40):
         grid = np.linspace(x_c - 30.0, x_c + 30.0, 61)
         vals = logf(grid).reshape(61, -1)
         i_pk = np.argmax(np.where(np.isnan(vals), -np.inf, vals), axis=0)
-        if np.all((0 < i_pk) & (i_pk < 60)):
+        if 0 < i_pk[0] < 60:
             break
-        x_c += 30.0 if np.any(i_pk == 60) else -30.0
+        x_c += 30.0 if i_pk[0] == 60 else -30.0
     else:
         raise NoConvergence(f"integrand still rising at x = {x_c:g}")
     x_pk = float(grid[i_pk[0]])

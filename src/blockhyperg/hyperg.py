@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincc, betaln
 
-from ._quadlog import adaptive_log_integral
+from ._quadlog import adaptive_log_integral, peak_bracket
 from .design import FitSummary
 from .errors import DomainError
 from .special import hyp2f1_log, log_series_2f1
@@ -256,12 +256,11 @@ def log_bf_hyper_g_gquad(a: float, n: int, p: int, r2: float,
         return x + c1 * np.log1p(g) - c2 * np.log1p(g * omr2)
 
     # integrand ~ g below 1, ~ g^(1 + c1 - c2) above max(1, 1/(1-R^2))
-    tail_rate = c2 - c1 - 1.0
-    if tail_rate <= 0.0:
+    if c2 - c1 - 1.0 <= 0.0:
         raise DomainError("g integral diverges for these (n, p, a)")
-    hi = math.log(max(1.0, 1.0 / omr2)) + (60.0 + abs(c1) + abs(c2)) / tail_rate
-    val, _ = adaptive_log_integral(logf, -60.0, hi, rtol=rtol,
-                                   seed_points=(0.0,))
+    lo, hi, x_pk = peak_bracket(logf, 0.0)
+    val, _ = adaptive_log_integral(logf, lo, hi, rtol=rtol,
+                                   seed_points=(x_pk,))
     return math.log(0.5 * (a - 2.0)) + val
 
 

@@ -1,4 +1,5 @@
-"""Gaussian hypergeometric 2F1 and the lower incomplete gamma function.
+"""Gaussian hypergeometric 2F1, and the log incomplete-gamma ratio of the
+gamma-mixture block integrals.
 
 Regime: 2F1(a, b; c; z) with a > 0, c > b > 0 and 0 <= z < 1, which keeps the
 Gauss series all-positive and the Euler integral
@@ -9,7 +10,11 @@ finite. Two independent evaluation routes are kept: the scaled power series
 (Kahan-compensated) and adaptive quadrature of the Euler integral carried out
 in log space so values far beyond double range remain usable through
 hyp2f1_log. The series also runs elementwise over arrays, and each entry
-stops at the first span of terms whose bounded tail is negligible.
+stops at the first span of terms whose bounded tail is negligible. The
+quadrature runs in the logistic coordinate t = 1/(1+e^-u), where the
+integrand t^b (1-t)^(c-b) ((1-t) + t(1-z))^-a has straight exponential
+tails at both ends and takes 1-z exactly. Its interval comes from
+`_quadlog.peak_bracket`, the one bracket of every 1-D integral here.
 
 The hyper-g Bayes factor and shrinkage use neither route when R^2 >= 1/2
 and n > p+a+1: `hyperg` evaluates them there in closed form through the
@@ -23,7 +28,7 @@ import math
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln
 
-from ._quadlog import adaptive_log_integral
+from ._quadlog import adaptive_log_integral, peak_bracket
 from .errors import DomainError, NoConvergence
 
 _SERIES_BUDGET = 2_000_000
@@ -116,58 +121,30 @@ def log_series_2f1(a, b, c, z):
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
-def _log_euler_quad(a: float, b: float, c: float, z: float,
-                    one_minus_z: float, *, rtol: float = 1e-12,
-                    n_nodes: int = 12) -> float:
-    """log of the (unnormalized) Euler integral via graded log-space panels.
+def _log_euler_quad(a: float, b: float, c: float, one_minus_z: float, *,
+                    rtol: float = 1e-12) -> float:
+    """log of the (unnormalized) Euler integral, in the logistic coordinate
+    t = 1/(1+e^-u).
 
-    Split at t = 1/2; each half is integrated in a log coordinate so the
-    endpoint power laws t^{b-1} and (1-t)^{c-b-1} are resolved exactly, and
-    1 - t z is evaluated as one_minus_z + z*(1-t) near t = 1 (no cancellation
-    even when 1-z ~ 1e-16).
-
-    The right half's lower end walks down, in steps that double from 20,
-    until the integrand is 60 below the larger of its values at the
-    expected peak and at t = 1/2. Between 1-t = 1-z and 1/2 the integrand
-    decays only at rate |c-b-a| in log(1-t), which is slow when the 2F1 is
-    barely convergent at z = 1 (c-a-b small and positive).
+    The integrand becomes t^b (1-t)^(c-b) ((1-t) + t(1-z))^-a over the real
+    line, with log t = -log(1+e^-u) and log(1-t) = -log(1+e^u), so both
+    endpoint power laws are straight tails and 1-z enters exactly, however
+    small. One `peak_bracket` from u = 0 finds the peak (near log(1/(1-z))
+    when a > c-b) and walks each end out, also along the slow slope of
+    rate |c-b-a| that a barely convergent 2F1 has between u = 0 and
+    log(1/(1-z)); one adaptive pass seeded at the peak integrates it.
     """
-    delta = one_minus_z
-    log_half = math.log(0.5)
+    log_delta = math.log(one_minus_z)
 
-    def logf_left(x):
-        t = np.exp(x)
-        return b * x + (c - b - 1.0) * np.log1p(-t) - a * np.log1p(-z * t)
+    def logf(u):
+        log_t = -np.logaddexp(0.0, -u)
+        log_1mt = -np.logaddexp(0.0, u)
+        return (b * log_t + (c - b) * log_1mt
+                - a * np.logaddexp(log_1mt, log_t + log_delta))
 
-    lo_left = log_half - (60.0 + abs(c - b - 1.0)) / b
-    la, ea = adaptive_log_integral(logf_left, lo_left, log_half,
-                                   rtol=rtol, n_nodes=n_nodes)
-
-    beta = c - b
-    if a > beta and z > 0:
-        w_peak = beta * delta / (z * (a - beta))
-        x_peak = math.log(min(0.5, max(w_peak, 1e-300)))
-    else:
-        x_peak = log_half
-
-    def logf_right(x):
-        w = np.exp(x)
-        return beta * x + (b - 1.0) * np.log1p(-w) - a * np.log(delta + z * w)
-
-    f_cut = float(np.max(logf_right(np.array([x_peak, log_half])))) - 60.0
-    lo_right = x_peak - (60.0 + abs(b - 1.0)) / beta
-    for step in 20.0 * 2.0 ** np.arange(60):
-        if float(logf_right(np.array([lo_right]))[0]) < f_cut:
-            break
-        lo_right -= step
-    else:
-        raise NoConvergence("Euler integrand not negligible at any lower end")
-
-    seeds = (x_peak,) if lo_right < x_peak < log_half else ()
-    lb, eb = adaptive_log_integral(logf_right, lo_right, log_half,
-                                   rtol=rtol, seed_points=seeds,
-                                   n_nodes=n_nodes)
-    return float(np.logaddexp(la, lb))
+    lo, hi, u_pk = peak_bracket(logf, 0.0)
+    return adaptive_log_integral(logf, lo, hi, rtol=rtol,
+                                 seed_points=(u_pk,))[0]
 
 
 def _log_beta(b: float, cb: float) -> float:
@@ -195,7 +172,7 @@ def hyp2f1_log(a: float, b: float, c: float, z: float,
         return 0.0
     if z <= 0.95 or _series_terms_estimate(a, b, c, z) <= 60_000:
         return log_series_2f1(a, b, c, z)
-    return _log_euler_quad(a, b, c, z, delta) - _log_beta(b, c - b)
+    return _log_euler_quad(a, b, c, delta) - _log_beta(b, c - b)
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
@@ -213,13 +190,12 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     if z == 0.0:
         return 1.0
     delta = 1.0 - z
-    log_quad = _log_euler_quad(a, b, c, z, delta) - _log_beta(b, c - b)
+    log_quad = _log_euler_quad(a, b, c, delta) - _log_beta(b, c - b)
     if _series_terms_estimate(a, b, c, z) <= 500_000:
         log_primary = log_series_2f1(a, b, c, z)
     else:
-        # series infeasible: second independent route is a refined quadrature
-        log_primary = (_log_euler_quad(a, b, c, z, delta, rtol=1e-13,
-                                       n_nodes=20)
+        # series infeasible: check against the quadrature at rtol 1e-13
+        log_primary = (_log_euler_quad(a, b, c, delta, rtol=1e-13)
                        - _log_beta(b, c - b))
     if abs(log_primary - log_quad) > 1e-8:
         raise NoConvergence(

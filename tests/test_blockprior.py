@@ -6,6 +6,7 @@ import dataclasses
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from blockhyperg import integrate
@@ -16,7 +17,7 @@ from blockhyperg.blockprior import (BlockHyperGPrior, Sigma2Density,
                                     scale_blocks,
                                     sigma2_density_exact_block,
                                     sigma2_density_limit_block)
-from blockhyperg.design import (BlockPartition, CenteredDesign,
+from blockhyperg.design import (BlockPartition, CenteredDesign, FitSummary,
                                 block_orthogonalize, center_design,
                                 fit_least_squares)
 from blockhyperg.errors import (DomainError, IntegralDiverges,
@@ -190,6 +191,37 @@ class TestDivergenceSentinels:
         prior = BlockHyperGPrior(3.0, d.partition)
         with pytest.raises(IntegralDiverges):
             bf_block_hyper_g(prior, fit)
+
+
+class TestAbovePropriety:
+    """Near-unit R^2 one and two above the propriety boundary n = k(a-2)
+    +p+1, against mpmath (tests/oracles.py). There J(0) peaks near
+    log(1/(1-R^2)) in the radial coordinate and each J(e_i) far below it.
+    """
+
+    @pytest.mark.parametrize("omr2", [1e-16, 1e-34, 1e-300])
+    @pytest.mark.parametrize("n_above", [1, 2])
+    @pytest.mark.parametrize("sizes", [(1, 1), (2, 1), (3,)],
+                             ids=["1+1", "2+1", "3"])
+    @pytest.mark.parametrize("a", [3.0, 4.0])
+    def test_matches_mpmath(self, a, sizes, n_above, omr2):
+        k, p = len(sizes), sum(sizes)
+        n = int(k * (a - 2.0)) + p + 1 + n_above
+        rho = [1.0 - omr2] if k == 1 else [0.7, 0.3 - omr2]
+        fit = FitSummary(n=n, p=p, p_i=sizes, alpha_hat=0.0,
+                         beta_hat_ls=np.zeros(p), sigma2_hat=1.0,
+                         r2=1.0 - omr2, r2_blocks=np.array(rho), yty=1.0,
+                         one_minus_r2=omr2, block_orthogonal=True)
+        post = bf_block_hyper_g(
+            BlockHyperGPrior(a, BlockPartition.contiguous(sizes)), fit)
+        if k == 1:
+            log_bf, t_mean = oracles.hyper_g(a, n, p, omr2)
+            s_mean = [1.0 - t_mean]
+        else:
+            log_bf, s_mean = oracles.block_k2(a, n, sizes, rho, omr2)
+        assert post.log_bf_null == pytest.approx(log_bf, abs=1e-10)
+        np.testing.assert_allclose(1.0 - post.t_mean, s_mean, rtol=0.0,
+                                   atol=1e-10)
 
 
 class TestLaplace:

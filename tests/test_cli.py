@@ -315,6 +315,35 @@ class TestSelect:
         assert len(report["models"]) == 8
 
 
+class TestNearExactSmallN:
+    def test_fit_and_select_one_above_propriety(self, tmp_path):
+        # n = 8 is one above the propriety boundary k(a-2)+p+1 = 7 of two
+        # two-column blocks, and noise 1e-9 puts 1-R^2 near 1e-18; x5 is
+        # in the data, with beta_5 = 0, and in no block
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(8, 5))
+        y = X @ np.array([1.0, -0.8, 0.6, 0.5, 0.0]) + 1e-9 * rng.normal(
+            size=8)
+        data = tmp_path / "d.csv"
+        with open(data, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["y", "x1", "x2", "x3", "x4", "x5"])
+            w.writerows(np.column_stack([y, X]).tolist())
+        cfg = {"data": str(data), "response": "y",
+               "blocks": [["x1", "x2"], ["x3", "x4"]],
+               "prior": {"type": "block-hyper-g", "a": 3.0},
+               "orthogonalize": True, "output_dir": str(tmp_path)}
+        assert _run(tmp_path, dict(cfg, mode="fit")) == EXIT_OK
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        assert math.isfinite(fit["log_bf_null"])
+        assert all(1.0 - 1e-6 < t < 1.0 for t in fit["shrinkage"])
+        assert _run(tmp_path, dict(cfg, mode="select")) == EXIT_OK
+        rows = json.loads((tmp_path / "models.json").read_text())["models"]
+        assert rows[0]["gamma_bits"] == [1, 1, 1, 1]
+        assert rows[0]["log_bf_null"] == pytest.approx(fit["log_bf_null"],
+                                                       rel=1e-6)
+
+
 class TestReportWriter:
     def test_matches_per_element_walk(self, tmp_path):
         # _write_json against the per-element _jsonable walk it replaced:

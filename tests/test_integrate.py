@@ -159,6 +159,25 @@ class TestVectorQuadrature:
         assert lo < -250.0
 
 
+    def test_window_follows_the_first_column(self):
+        # the shape of J(0) and a J(e_i) at tiny delta: column 0 rises at
+        # rate 1/2 up to its peak near x = 300, column 1 falls at rate 1/2
+        # from its peak at x = 0. No scan window holds both peaks; the
+        # window settles on column 0, and the end walk covers column 1
+        def two(x):
+            f0 = 0.5 * x - np.exp(x - 300.0)
+            return np.stack([f0, f0 - np.logaddexp(0.0, x)], axis=1)
+        lo, hi, x_pk = peak_bracket(two, 0.0)
+        assert x_pk == pytest.approx(300.0 + math.log(0.5), abs=0.5)
+        assert lo < -120.0
+        vals, errs = adaptive_log_integral(two, lo, hi, rtol=1e-12,
+                                           seed_points=(x_pk,))
+        # e^150 Gamma(1/2), and B(1/2, 1/2) = pi up to a factor 1 - e^-150
+        np.testing.assert_allclose(
+            vals, [150.0 + 0.5 * math.log(math.pi), math.log(math.pi)],
+            rtol=0.0, atol=1e-12)
+
+
 class TestQmc:
     @pytest.mark.parametrize("k", [4, 5])
     def test_against_gamma1d(self, k):

@@ -4,7 +4,10 @@ import math
 
 import mpmath
 import numpy as np
+import oracles
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blockhyperg.errors import DomainError, NoConvergence
 from blockhyperg.special import (hyp2f1, hyp2f1_log, hyp2f1_near1_scaled,
@@ -57,6 +60,38 @@ def test_hyp2f1_at_unit_argument_gauss_value():
     assert hyp2f1_log(a, b, c, 1.0) == pytest.approx(want, rel=1e-12)
     with pytest.raises(DomainError):
         hyp2f1_log(6.0, 1.0, 3.0, 1.0)
+
+
+@pytest.mark.parametrize("args, omz", [((12.0, 1.0, 13.0573), 1e-300),
+                                       ((2.5, 2.0, 4.5), 1e-34),
+                                       ((3.0, 1.0, 3.5), 0.05)])
+def test_pfaff_oracle_matches_direct_2f1(args, omz):
+    # tests/oracles.py forms z/(z-1) from 1-z; mpmath's 2F1 at z itself
+    # needs z to carry 1-z, at 60 + 1.1 log10(1/(1-z)) digits
+    with mpmath.workdps(int(60 + 1.1 * math.log10(1.0 / omz))):
+        want = mpmath.log(mpmath.hyp2f1(*args, 1 - mpmath.mpf(omz)))
+    assert oracles.log_hyp2f1(*args, omz) == pytest.approx(float(want),
+                                                           rel=1e-15)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=st.sampled_from([2.0 + 1e-6, 2.5, 3.0, 3.1147, 4.0]),
+       p=st.integers(1, 30), dn=st.integers(-4, 5),
+       log10_omz=st.floats(-300.0, math.log10(0.05)))
+@example(a=2.0 + 1e-6, p=1, dn=1, log10_omz=-300.0)
+@example(a=3.1147, p=23, dn=2, log10_omz=-34.0)
+@example(a=4.0, p=30, dn=5, log10_omz=-300.0)
+def test_hyp2f1_log_near_unit_hyper_g_pairs(a, p, dn, log10_omz):
+    # the hyper-g pairs (m, 1, c) and (m, 2, c+1), m = (n-1)/2 and
+    # c = (a+p)/2, in the band n <= p+a+1, which puts c-a-b = (a+p-n-1)/2
+    # on both sides of 0; the Euler route serves 1-z below about 1e-3
+    n = max(2, min(p + dn, int(p + a + 1.0)))
+    omz = 10.0 ** log10_omz
+    m, c = 0.5 * (n - 1), 0.5 * (a + p)
+    for args in ((m, 1.0, c), (m, 2.0, c + 1.0)):
+        got = hyp2f1_log(*args, 1.0 - omz, one_minus_z=omz)
+        assert got == pytest.approx(oracles.log_hyp2f1(*args, omz),
+                                    rel=1e-12, abs=1e-12)
 
 
 def test_hyp2f1_trivials():
