@@ -7,10 +7,15 @@ import sys
 
 import mpmath
 import numpy as np
+import oracles
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from blockhyperg._quadlog import (adaptive_log_integral, logsumexp,
-                                  peak_bracket)
+from blockhyperg import integrate
+from blockhyperg._quadlog import (GAUSS_WEIGHTS, KRONROD_NODES,
+                                  KRONROD_WEIGHTS, adaptive_log_integral,
+                                  logsumexp, peak_bracket)
 from blockhyperg.errors import DomainError, IntegralDiverges, NoConvergence
 from blockhyperg.integrate import (block_integrals_gamma1d,
                                    block_integrals_qmc,
@@ -110,6 +115,93 @@ class TestProductionRoute:
         assert 0.0 <= res.error <= 0.1 * rtol
         assert res.log_i0 == pytest.approx(oracle.log_i0, abs=rtol)
         np.testing.assert_allclose(res.t_mean, oracle.t_mean, atol=rtol)
+
+
+class TestKronrodRule:
+    def test_gauss_nodes_are_leggauss(self):
+        x, w = np.polynomial.legendre.leggauss(10)
+        np.testing.assert_allclose(KRONROD_NODES[1::2], x, rtol=0.0,
+                                   atol=1e-15)
+        np.testing.assert_allclose(GAUSS_WEIGHTS, w, rtol=0.0, atol=1e-15)
+        assert np.all(np.diff(KRONROD_NODES) > 0.0)
+
+    def test_kronrod_degree(self):
+        # 21 nodes, exact through degree 31; x^30 is the top even power
+        for j in (0, 2, 10, 20, 30):
+            assert KRONROD_WEIGHTS @ KRONROD_NODES ** j == pytest.approx(
+                2.0 / (j + 1), rel=1e-14)
+        assert KRONROD_WEIGHTS @ KRONROD_NODES ** 31 == pytest.approx(
+            0.0, abs=1e-16)
+
+
+class TestOnePass:
+    """A block posterior at the rtol its callers use: the bracket scan and
+    one pass of 8 Kronrod panels, 61 + 168 = 229 nodes per column."""
+
+    @pytest.mark.parametrize("rtol", [1e-4, 1e-7])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_scan_and_one_pass(self, k, rtol, monkeypatch):
+        # every call of the integrand evaluates the incomplete-gamma
+        # ratios once, for all its nodes
+        real, calls = integrate.log_inc_gamma_ratio, []
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return real(*args)
+        monkeypatch.setattr(integrate, "log_inc_gamma_ratio", counting)
+        bpow, rho, delta, m = _draw(np.random.default_rng(21), k)
+        res = block_integrals_gamma1d(bpow, rho, delta, m, rtol=rtol)
+        assert res.error <= 0.1 * rtol
+        assert len(calls) == 2
+        assert res.n_evals / (k + 1) == sum(calls) <= 250
+
+
+class TestAgainstOracles:
+    """gamma1d against tests/oracles.py, which shares no step with it."""
+
+    @pytest.mark.parametrize("a,n", [(2.0 + 1e-6, 27), (2.5, 28),
+                                     (3.1147, 28)])
+    def test_hyper_g_band_at_tiny_delta(self, a, n):
+        # k = 1 is the hyper-g posterior: p = 25 inside the band
+        # n <= p+a+1, at 1-R^2 = 1e-300, where the inner rtol 1e-13 is
+        # close to the rounding floor of the panels' error estimates
+        p, omr2 = 25, 1e-300
+        want_bf, want_t = oracles.hyper_g(a, n, p, omr2)
+        res = block_integrals_gamma1d(np.array([0.5 * (a + p) - 2.0]),
+                                      np.array([1.0 - omr2]), omr2,
+                                      0.5 * (n - 1), rtol=1e-12)
+        log_bf = math.log(0.5 * (a - 2.0)) + res.log_i0
+        assert log_bf == pytest.approx(want_bf, rel=1e-12)
+        assert res.t_mean[0] == pytest.approx(want_t, rel=0.0, abs=1e-12)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(a=st.floats(2.5, 4.0), p1=st.integers(1, 4),
+           p2=st.one_of(st.integers(1, 4), st.integers(50, 500)),
+           extra=st.integers(2, 1600), share=st.floats(0.05, 0.95),
+           log10_omr2=st.floats(-12.0, math.log10(0.3)),
+           rtol=st.sampled_from([1e-4, 1e-7]))
+    @example(a=3.0, p1=2, p2=500, extra=2, share=0.5, log10_omr2=-12.0,
+             rtol=1e-4)
+    @example(a=4.0, p1=1, p2=60, extra=40, share=0.9, log10_omr2=-12.0,
+             rtol=1e-7)
+    def test_reported_error_bounds_the_actual_error(
+            self, a, p1, p2, extra, share, log10_omr2, rtol):
+        # two blocks, one of them possibly large (b_2 = (a+p_2)/2 - 2 up
+        # to 250), and 1-R^2 down to 1e-12
+        sizes, n = (p1, p2), p1 + p2 + extra
+        omr2 = 10.0 ** log10_omr2
+        rho = [share * (1.0 - omr2), (1.0 - share) * (1.0 - omr2)]
+        want_bf, want_s = oracles.block_k2(a, n, sizes, rho, omr2)
+        want = want_bf - 2.0 * math.log(0.5 * (a - 2.0))
+        bpow = 0.5 * (a + np.array(sizes, dtype=float)) - 2.0
+        res = block_integrals_gamma1d(bpow, np.array(rho), omr2,
+                                      0.5 * (n - 1), rtol=rtol)
+        # log J's error is J's relative error, the estimate's unit; the
+        # floor is two ulp of log J, below which the oracle is not exact
+        assert abs(res.log_i0 - want) <= max(
+            res.error, 4e-16 * max(1.0, abs(want)))
+        assert res.log_i0 == pytest.approx(want, rel=0.0, abs=rtol)
+        np.testing.assert_allclose(res.s_mean, want_s, rtol=0.0, atol=rtol)
 
 
 class TestVectorQuadrature:
