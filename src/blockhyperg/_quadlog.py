@@ -11,6 +11,15 @@ et al. 1983): the 21 Kronrod nodes give the high-order value, and the ten
 Gauss nodes among them give the low-order value that estimates its error,
 so the estimate costs no extra evaluation. A converged panel is kept;
 refinement evaluates only the halves of the panels it splits.
+
+peak_bracket and adaptive_log_integral also take M independent integrals
+at once, through an integrand logf(x, idx) that is told each node's
+integral. What a batch shares is the integrand call: each scan move,
+end-walk step and refinement pass evaluates the nodes of every integral
+still open in one call. Everything else is per integral: its scan window,
+cut and ends, its panels, split rule and convergence test. So an integral
+gets the same nodes and values in a batch as alone, and the one-integral
+forms are batches of one.
 """
 
 from __future__ import annotations
@@ -70,15 +79,15 @@ def logsumexp(v: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.squeeze(out + top, axis=axis)
 
 
-def _kronrod_panels(logf, a: np.ndarray, b: np.ndarray,
+def _kronrod_panels(logf, a: np.ndarray, b: np.ndarray, idx: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """log Kronrod and log Gauss integrals over the panels [a_j, b_j], from
-    one call of logf on their 21 nodes each: two arrays of shape (npanels,)
-    for a scalar integrand, or (npanels, K) for K columns."""
+    one call of logf on their 21 nodes each, idx naming each node's
+    integral: two arrays of shape (npanels, K)."""
     half = 0.5 * (b - a)
     nodes = (0.5 * (a + b))[:, None] + half[:, None] * KRONROD_NODES
-    out = logf(nodes.ravel())
-    vals = out.reshape(len(a), len(KRONROD_NODES), -1)
+    vals = logf(nodes.ravel(), idx)
+    vals = vals.reshape(len(a), len(KRONROD_NODES), -1)
     top = np.max(vals, axis=1)
     top = np.where(np.isfinite(top), top, 0.0)
     scaled = np.exp(vals - top[:, None, :])
@@ -87,24 +96,99 @@ def _kronrod_panels(logf, a: np.ndarray, b: np.ndarray,
         kron = np.log(np.einsum("pnc,n->pc", scaled, KRONROD_WEIGHTS))
         gauss = np.log(np.einsum("pnc,n->pc", scaled[:, 1::2],
                                  GAUSS_WEIGHTS))
-    shape = (len(a),) + out.shape[1:]
-    return (kron + shift).reshape(shape), (gauss + shift).reshape(shape)
+    return kron + shift, gauss + shift
+
+
+def _integrals(logf, lo, hi, rtol: float, seed_points) -> list:
+    """The batched form of adaptive_log_integral: a (log integrals, error
+    estimates) pair of length-K arrays per integral."""
+    new = []  # per integral still open: the panels to evaluate next
+    for j in range(len(lo)):
+        if not hi[j] > lo[j]:
+            raise ValueError("empty interval")
+        pts = [lo[j], hi[j]]
+        for s in seed_points:
+            s = s[j] if np.ndim(s) else s
+            if lo[j] < s < hi[j]:
+                pts.append(s)
+        pts = np.unique(np.asarray(pts, dtype=float))
+        edges = np.concatenate(
+            [np.linspace(pts[i], pts[i + 1], _FIRST_PANELS + 1)[:-1]
+             for i in range(len(pts) - 1)] + [pts[-1:]])
+        new.append((j, edges[:-1], edges[1:]))
+    kept = {}  # per integral still open: the panels it keeps, with values
+    out = [None] * len(lo)
+    for n_pass in range(61):
+        # the new panels of every open integral, from one call of logf
+        sizes = [len(a) for _, a, _ in new]
+        kron, gauss = _kronrod_panels(
+            logf, np.concatenate([a for _, a, _ in new]),
+            np.concatenate([b for _, _, b in new]),
+            np.array([j for j, _, _ in new]).repeat(
+                [len(KRONROD_NODES) * n for n in sizes]))
+        start = 0
+        for (j, a, b), size in zip(new, sizes):
+            k, g = kron[start:start + size], gauss[start:start + size]
+            start += size
+            if j in kept:
+                old_a, old_b, old_k, old_g = kept[j]
+                a, b = np.concatenate([old_a, a]), np.concatenate([old_b, b])
+                k, g = np.concatenate([old_k, k]), np.concatenate([old_g, g])
+            kept[j] = a, b, k, g
+        if n_pass == 60:
+            break
+        new = []
+        for j, (a, b, k, g) in list(kept.items()):
+            total = logsumexp(k, axis=0)
+            err_p = np.abs(np.exp(k - total) - np.exp(g - total))
+            err = err_p.sum(axis=0)
+            if np.all(err <= rtol):
+                out[j] = total, err
+                del kept[j]
+                continue
+            # a panel with a NaN error is never split, and only NaN leaves
+            # nothing to split while the sum is above rtol
+            split = err_p.max(axis=1) > rtol / len(a)
+            n_split = np.count_nonzero(split)
+            if n_split == 0 or len(a) + n_split > _MAX_PANELS:
+                raise NoConvergence(
+                    f"1-D quadrature did not reach rtol={rtol:g} "
+                    f"(err={np.max(err):g}, panels={len(a)})")
+            mid = 0.5 * (a[split] + b[split])
+            new.append((j, np.concatenate([a[split], mid]),
+                        np.concatenate([mid, b[split]])))
+            keep = ~split
+            kept[j] = a[keep], b[keep], k[keep], g[keep]
+            last = err, len(a) + n_split
+        if not new:
+            return out
+    raise NoConvergence(
+        f"1-D quadrature did not reach rtol={rtol:g} "
+        f"(err={np.max(last[0]):g}, panels={last[1]})")
 
 
 def adaptive_log_integral(
     logf,
-    lo: float,
-    hi: float,
+    lo,
+    hi,
     *,
     rtol: float = 1e-12,
-    seed_points: tuple[float, ...] = (),
+    seed_points: tuple = (),
 ):
     """log of integral of exp(logf) over [lo, hi], with an error estimate.
 
-    logf maps N points to N values, or to an (N, K) array of K integrands
-    that share one panel set; the result is then a pair of length-K arrays
-    (log integrals and relative error estimates), and a pair of floats for
-    the scalar form.
+    One integral: lo and hi are floats and logf maps N points to N values,
+    or to an (N, K) array of K integrands that share one panel set; the
+    result is then a pair of length-K arrays (log integrals and relative
+    error estimates), and a pair of floats for the scalar form.
+
+    M integrals: lo and hi are arrays of length M, each seed point is a
+    float or an array of length M, and logf(x, idx) maps N points and the
+    index of each point's integral to an (N, K) array. The result is a
+    pair of (M, K) arrays. Every pass evaluates the new nodes of all open
+    integrals in one call of logf; everything else is per integral (its
+    panels, split rule and convergence test), so each integral gets the
+    nodes and the values it gets alone.
 
     The first pass puts 4 equal panels in each interval between lo, hi and
     the seed_points (peak or kink locations known a priori): 168 nodes for
@@ -112,58 +196,35 @@ def adaptive_log_integral(
     column's total, and the estimate is its sum over the panels. Until
     every column's estimate is within rtol, each pass halves every panel
     whose largest error exceeds rtol / (number of panels), evaluates only
-    the halves, in one call of logf, and keeps every other panel as it is.
+    the halves, and keeps every other panel as it is.
     """
-    if not hi > lo:
-        raise ValueError("empty interval")
-    pts = [lo, hi]
-    for s in seed_points:
-        if lo < s < hi:
-            pts.append(s)
-    pts = np.unique(np.asarray(pts, dtype=float))
-    edges = np.concatenate(
-        [np.linspace(pts[i], pts[i + 1], _FIRST_PANELS + 1)[:-1]
-         for i in range(len(pts) - 1)] + [pts[-1:]])
-    a, b = edges[:-1], edges[1:]
-    kron, gauss = _kronrod_panels(logf, a, b)
+    if np.ndim(lo) > 0:
+        out = _integrals(logf, lo, hi, rtol, seed_points)
+        return (np.array([v for v, _ in out]), np.array([e for _, e in out]))
+    shape = []
 
-    for _ in range(60):
-        total = logsumexp(kron, axis=0)
-        err_p = np.abs(np.exp(kron - total) - np.exp(gauss - total))
-        err = err_p.sum(axis=0)
-        if np.all(err <= rtol):
-            if kron.ndim == 1:
-                return float(total), float(err)
-            return total, err
-        # a panel with a NaN error is never split, and only NaN leaves
-        # nothing to split while the sum is above rtol
-        split = err_p.reshape(len(a), -1).max(axis=1) > rtol / len(a)
-        n_split = np.count_nonzero(split)
-        if n_split == 0 or len(a) + n_split > _MAX_PANELS:
-            break
-        mid = 0.5 * (a[split] + b[split])
-        new_a = np.concatenate([a[split], mid])
-        new_b = np.concatenate([mid, b[split]])
-        k_new, g_new = _kronrod_panels(logf, new_a, new_b)
-        keep = ~split
-        a = np.concatenate([a[keep], new_a])
-        b = np.concatenate([b[keep], new_b])
-        kron = np.concatenate([kron[keep], k_new])
-        gauss = np.concatenate([gauss[keep], g_new])
-    raise NoConvergence(
-        f"1-D quadrature did not reach rtol={rtol:g} (err={np.max(err):g}, "
-        f"panels={len(a)})"
-    )
+    def one(x, _):
+        vals = logf(x)
+        shape[:] = vals.shape[1:]
+        return vals
+    val, err = _integrals(one, [lo], [hi], rtol, seed_points)[0]
+    if shape:
+        return val, err
+    return float(val[0]), float(err[0])
 
 
-def peak_bracket(logf, x_c: float) -> tuple[float, float, float]:
+def peak_bracket(logf, x_c):
     """Interval outside which exp(logf) is below e^-60 of its peak, for a
     unimodal log-integrand, and the highest point of a unit-step scan as a
     seed point for the panels.
 
     logf may return an (N, K) array of K integrands, as for
     adaptive_log_integral. The interval then covers them all, and the seed
-    point is the first column's peak.
+    point is the first column's peak. With an array of M centers x_c, logf
+    takes the index of each point's integral too, as for
+    adaptive_log_integral, and the result is three arrays of length M:
+    every scan move and every end-walk step evaluates the points of all
+    integrals still moving or walking in one call of logf.
 
     The scan covers x_c +- 30 and moves by 30 while column 0's highest
     point is at an edge. It follows column 0 only: another column may peak
@@ -176,39 +237,69 @@ def peak_bracket(logf, x_c: float) -> tuple[float, float, float]:
     not find column 0's peak, or 80 steps of 20 (a tail as slow as
     e^(-0.04 |x|)) do not reach a negligible end.
     """
+    if np.ndim(x_c) > 0:
+        return tuple(np.array(v) for v in zip(*_brackets(logf, list(x_c))))
+    return _brackets(lambda x, _: logf(x), [x_c])[0]
+
+
+def _brackets(logf, x_c: list) -> list[tuple[float, float, float]]:
+    """The batched form of peak_bracket: (lo, hi, peak) per integral."""
+    scans = [None] * len(x_c)
+    moving = list(range(len(x_c)))
     for _ in range(40):
-        grid = np.linspace(x_c - 30.0, x_c + 30.0, 61)
-        vals = logf(grid).reshape(61, -1)
-        i_pk = np.argmax(np.where(np.isnan(vals), -np.inf, vals), axis=0)
-        if 0 < i_pk[0] < 60:
+        grids = [np.linspace(x_c[j] - 30.0, x_c[j] + 30.0, 61)
+                 for j in moving]
+        vals = logf(np.concatenate(grids), np.array(moving).repeat(61))
+        vals = vals.reshape(len(moving), 61, -1)
+        still = []
+        for j, grid, v in zip(moving, grids, vals):
+            i_pk = np.argmax(np.where(np.isnan(v), -np.inf, v), axis=0)
+            if 0 < i_pk[0] < 60:
+                scans[j] = grid, v, i_pk
+            else:
+                x_c[j] += 30.0 if i_pk[0] == 60 else -30.0
+                still.append(j)
+        moving = still
+        if not moving:
             break
-        x_c += 30.0 if i_pk[0] == 60 else -30.0
     else:
-        raise NoConvergence(f"integrand still rising at x = {x_c:g}")
-    x_pk = float(grid[i_pk[0]])
-    f_cut = vals[i_pk, np.arange(vals.shape[1])] - 60.0
+        raise NoConvergence(
+            f"integrand still rising at x = {x_c[moving[0]]:g}")
 
-    def negligible(v: np.ndarray) -> np.ndarray:
-        return np.all(v.reshape(len(v), -1) < f_cut, axis=1)
-
-    # the scan's last negligible points on each side, where it has them;
-    # an end that falls back to the scan's edge is not negligible there
-    neg = negligible(vals)
-    i_lo, i_hi = int(i_pk.min()), int(i_pk.max())
-    low = np.flatnonzero(neg[:i_lo])
-    high = np.flatnonzero(neg[i_hi:])
-    lo = float(grid[low[-1]]) if low.size else x_c - 30.0
-    hi = float(grid[i_hi + high[0]]) if high.size else x_c + 30.0
-    done = np.array([low.size > 0, high.size > 0])
+    ends, cuts, done = [], [], []
+    for j, (grid, v, i_pk) in enumerate(scans):
+        cut = v[i_pk, np.arange(v.shape[1])] - 60.0
+        # the scan's last negligible points on each side, where it has
+        # them; an end that falls back to the scan's edge is not
+        # negligible there
+        neg = np.all(v < cut, axis=1)
+        i_lo, i_hi = int(i_pk.min()), int(i_pk.max())
+        low = np.flatnonzero(neg[:i_lo])
+        high = np.flatnonzero(neg[i_hi:])
+        ends.append([float(grid[low[-1]]) if low.size else x_c[j] - 30.0,
+                     float(grid[i_hi + high[0]]) if high.size
+                     else x_c[j] + 30.0, float(grid[i_pk[0]])])
+        cuts.append(cut)
+        done.append([low.size > 0, high.size > 0])
+    walking = [j for j in range(len(x_c)) if not all(done[j])]
+    at = np.array(walking, dtype=np.intp).repeat(2)
     for _ in range(80):
-        if done.all():
+        if not walking:
             break
-        if not done[0]:
-            lo -= 20.0
-        if not done[1]:
-            hi += 20.0
-        done = negligible(logf(np.array([lo, hi])))
-    if done.all():
-        return lo, hi, x_pk
-    raise NoConvergence(
-        f"integrand still above its peak - 60 at x in [{lo:g}, {hi:g}]")
+        for j in walking:
+            if not done[j][0]:
+                ends[j][0] -= 20.0
+            if not done[j][1]:
+                ends[j][1] += 20.0
+        vals = logf(np.array([ends[j][i] for j in walking for i in (0, 1)]),
+                    at).reshape(len(walking), 2, -1)
+        for j, v in zip(walking, vals):
+            done[j] = np.all(v < cuts[j], axis=1).tolist()
+        if any(all(done[j]) for j in walking):
+            walking = [j for j in walking if not all(done[j])]
+            at = np.array(walking, dtype=np.intp).repeat(2)
+    if walking:
+        lo, hi, _ = ends[walking[0]]
+        raise NoConvergence(
+            f"integrand still above its peak - 60 at x in [{lo:g}, {hi:g}]")
+    return [tuple(e) for e in ends]

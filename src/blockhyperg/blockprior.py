@@ -19,8 +19,13 @@ block fit reports it from the pass that gave its Bayes factor.
 bf_block_hyper_g is the one entry point for a block posterior: it returns
 the log Bayes factor and every block's E[t_i | y] together, from the
 gamma-mixture integrals, or from the limit sentinel when the integral
-diverges at unit R^2. The paper's large-n Laplace approximation of the
-same integral (log_bf_laplace, with the small-a single-predictor
+diverges at unit R^2. It is the batch of one of _block_posteriors, which
+scores many (prior, fit) pairs at once for a block-subsets search or a
+sweep: their integrals share the integrand calls of one
+block_integrals_gamma1d_batch pass, while the checks, the limit sentinel
+and the bound check on the shrinkage means stay per model, so each model
+gets the result it gets alone. The paper's large-n Laplace approximation
+of the same integral (log_bf_laplace, with the small-a single-predictor
 adjustment) is a separate function; no block posterior is served by it.
 """
 
@@ -60,12 +65,15 @@ class BlockHyperGPrior:
 
 @dataclass(frozen=True)
 class ShrinkagePosterior:
-    """Block shrinkage means, log BF vs null, and E[sigma^2 | y] or None."""
+    """Block shrinkage means, log BF vs null, the integral's error estimate
+    and integrand evaluations (0 for the limit sentinel), and
+    E[sigma^2 | y] or None."""
 
     t_mean: np.ndarray
     log_bf_null: float
     method: str
     error_estimate: float
+    n_evals: int
     sigma2_mean: float | None
 
 
@@ -104,7 +112,7 @@ def _limit_posterior(prior: BlockHyperGPrior, rho: np.ndarray,
     p_i = np.asarray(prior.partition.sizes, dtype=float)
     t_mean = np.where(rho > 0.0, 1.0, 2.0 / (prior.a + p_i))
     return ShrinkagePosterior(t_mean=t_mean, log_bf_null=math.inf,
-                              method="limit", error_estimate=0.0,
+                              method="limit", error_estimate=0.0, n_evals=0,
                               sigma2_mean=None)
 
 
@@ -116,35 +124,55 @@ def bf_block_hyper_g(prior: BlockHyperGPrior, fit: FitSummary, *,
     at unit R^2. The same E[s_i | y] give E[sigma^2 | y] (`_sigma2_mean`).
 
     Block i of the posterior mean of beta is block i of the LS estimate
-    times t_mean[i] (`scale_blocks`).
+    times t_mean[i] (`scale_blocks`). This is a batch of one of
+    `_block_posteriors`.
     """
-    _, rss, _, q = _sigma2_pieces(prior, fit)  # checks fit and partition
-    a = prior.a
-    k = prior.k
-    m = 0.5 * (fit.n - 1)
-    rho = np.clip(np.asarray(fit.r2_blocks, dtype=float), 0.0, 1.0)
-    delta = max(float(fit.one_minus_r2), 0.0)
-    if delta <= 0.0:
-        thresh = _divergence_threshold(a, k, fit.p)
-        if fit.n > thresh:
-            return _limit_posterior(prior, rho)
-        if fit.n == thresh:
-            raise IntegralDiverges(
-                "unit R^2 at the exact propriety boundary "
-                f"n = k(a-2)+p+1 = {thresh}")
-    res = integrate.block_integrals_gamma1d(prior.b_powers(), rho, delta, m,
-                                            rtol=rtol)
-    t_mean = res.t_mean
-    floor = 2.0 / (a + np.asarray(prior.partition.sizes, dtype=float))
-    if np.any(t_mean < floor - 1e-6) or np.any(t_mean > 1.0):
-        raise NoConvergence(
-            "integrated shrinkage means violate the analytic bounds; "
-            "integration failed")
-    log_bf = k * math.log(0.5 * (a - 2.0)) + res.log_i0
-    return ShrinkagePosterior(t_mean=np.clip(t_mean, floor, 1.0),
-                              log_bf_null=log_bf, method=res.method,
-                              error_estimate=res.error,
-                              sigma2_mean=_sigma2_mean(rss, q, res.s_mean, m))
+    return _block_posteriors([prior], [fit], rtol=rtol)[0]
+
+
+def _block_posteriors(priors, fits, *, rtol: float = 1e-7,
+                     ) -> list[ShrinkagePosterior]:
+    """bf_block_hyper_g for each (prior, fit) pair, all integrals in one
+    `integrate.block_integrals_gamma1d_batch` pass. The checks, the limit
+    sentinel and the bound check on the shrinkage means are per model, and
+    each model's result is the one it gets alone; any model that raises
+    raises for the batch."""
+    out: list[ShrinkagePosterior | None] = [None] * len(fits)
+    cases, scored = [], []
+    for j, (prior, fit) in enumerate(zip(priors, fits)):
+        _, rss, _, q = _sigma2_pieces(prior, fit)  # checks fit, partition
+        m = 0.5 * (fit.n - 1)
+        rho = np.clip(np.asarray(fit.r2_blocks, dtype=float), 0.0, 1.0)
+        delta = max(float(fit.one_minus_r2), 0.0)
+        if delta <= 0.0:
+            thresh = _divergence_threshold(prior.a, prior.k, fit.p)
+            if fit.n > thresh:
+                out[j] = _limit_posterior(prior, rho)
+                continue
+            if fit.n == thresh:
+                raise IntegralDiverges(
+                    "unit R^2 at the exact propriety boundary "
+                    f"n = k(a-2)+p+1 = {thresh}")
+        cases.append((prior.b_powers(), rho, delta, m))
+        scored.append((j, rss, q, m))
+    results = integrate.block_integrals_gamma1d_batch(cases, rtol=rtol)
+    for (j, rss, q, m), res in zip(scored, results):
+        prior = priors[j]
+        t_mean = res.t_mean
+        floor = 2.0 / (prior.a + np.asarray(prior.partition.sizes,
+                                            dtype=float))
+        if np.any(t_mean < floor - 1e-6) or np.any(t_mean > 1.0):
+            raise NoConvergence(
+                "integrated shrinkage means violate the analytic bounds; "
+                "integration failed")
+        out[j] = ShrinkagePosterior(
+            t_mean=np.clip(t_mean, floor, 1.0),
+            log_bf_null=prior.k * math.log(0.5 * (prior.a - 2.0))
+            + res.log_i0,
+            method=res.method, error_estimate=res.error,
+            n_evals=res.n_evals,
+            sigma2_mean=_sigma2_mean(rss, q, res.s_mean, m))
+    return out
 
 
 def scale_blocks(beta: np.ndarray, partition: BlockPartition,

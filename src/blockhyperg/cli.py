@@ -233,7 +233,8 @@ def cmd_fit(cfg: dict) -> int:
         post = blockprior.bf_block_hyper_g(bprior, fit)
         log_bf, shrink = post.log_bf_null, post.t_mean
         mean = blockprior.scale_blocks(fit.beta_hat_ls, d.partition, shrink)
-        method, error = post.method, post.error_estimate
+        method, error, n_evals = (post.method, post.error_estimate,
+                                  post.n_evals)
         if post.sigma2_mean is not None:
             report["sigma2_posterior_mean"] = post.sigma2_mean
     else:
@@ -251,10 +252,11 @@ def cmd_fit(cfg: dict) -> int:
                                                  fit.n, fit.p, fit.sigma2_hat)
                 report["sigma2_limit"] = {"shape": ig.shape,
                                           "scale": ig.scale}
-        mean, method, error = shrink * fit.beta_hat_ls, "closed-form", 0.0
+        mean, method = shrink * fit.beta_hat_ls, "closed-form"
+        error, n_evals = 0.0, 0
     report.update({"log_bf_null": log_bf, "shrinkage": shrink,
                    "posterior_mean": mean, "method": method,
-                   "error_estimate": error})
+                   "error_estimate": error, "n_evals": n_evals})
     out = os.path.join(cfg["output_dir"], "fit.json")
     _write_json(out, report)
     return EXIT_OK

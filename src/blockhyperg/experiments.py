@@ -178,13 +178,15 @@ def run_els_experiment(spec: SequenceSpec) -> ExperimentResult:
     prior = blockprior.BlockHyperGPrior(a, part)
     top = spec.scales[-1]
     bounds_ok, t1_ok, dist_ok = True, True, True
-    for c, d, fit in make_sequence(spec):
+    seq = make_sequence(spec)
+    posts = blockprior._block_posteriors([prior] * len(seq),
+                                         [fit for _, _, fit in seq])
+    for (c, d, fit), post in zip(seq, posts):
         s = hyperg.shrinkage_hyper_g_stats(a, n, p, fit.r2,
                                            fit.one_minus_r2)
         res.add(c, "hyperg_rel_distance", 1.0 - s)
         if c >= 1e6 and 1.0 - s >= 1e-3:
             dist_ok = False
-        post = blockprior.bf_block_hyper_g(prior, fit)
         for i in range(part.k):
             res.add(c, f"block_t_mean_{i + 1}", post.t_mean[i],
                     post.error_estimate)
@@ -230,11 +232,13 @@ def run_clp_experiment(spec: SequenceSpec) -> ExperimentResult:
                       for _, _, fit in seq]).T
     log_bf, _ = hyperg.hyper_g_scores(a, n, [[p], [p1]], stats[0::2],
                                       stats[1::2])
+    posts = blockprior._block_posteriors([prior] * len(seq),
+                                         [fit for _, _, fit in seq])
     hyper_vals, floor_ok = [], True
-    for (c, d, fit), lb_full, lb_m1 in zip(seq, *log_bf.tolist()):
+    for (c, d, fit), lb_full, lb_m1, post in zip(seq, *log_bf.tolist(),
+                                                  posts):
         res.add(c, "hyperg_log_bf_ratio", lb_full - lb_m1)
         hyper_vals.append((c, lb_full - lb_m1))
-        post = blockprior.bf_block_hyper_g(prior, fit)
         ratio = math.exp(post.log_bf_null - lb_m1)
         res.add(c, "block_bf_ratio", ratio, post.error_estimate)
         if ratio < floor - 1e-4:

@@ -17,6 +17,12 @@ gamma mixture over a radial scale lam reduces each J(e) to one integral
 over log lam, whose integrand is a product of lower incomplete gammas.
 J(0) and the k integrals J(e_i) differ only in one shape each, so all k+1
 are one vector-valued integral on one bracket and one panel set.
+block_integrals_gamma1d_batch takes many models, of mixed k, at once: they
+share every call of the integrand (one incomplete-gamma call for all
+their nodes per bracket scan, end-walk step and quadrature pass), and
+each keeps its own centre, bracket, panels, convergence test and node
+count, so it gets the values it gets alone. block_integrals_gamma1d is
+its batch of one.
 Graded-panel tensor Gauss-Legendre (block_integrals_quadrature, k <= 3)
 and randomized scrambled-Sobol QMC (block_integrals_qmc) stay as
 independent references for the tests.
@@ -59,23 +65,40 @@ class BlockIntegrals:
         return 1.0 - self.s_mean
 
 
-def _char_scales(bpow: np.ndarray, rho: np.ndarray, delta: float,
-                 m: float) -> np.ndarray:
-    """Characteristic s scale per axis (conditional Beta-prime mean)."""
-    k = len(bpow)
-    s = np.ones(k)
-    # iterate to convergence: at tiny delta the fixed point is O(delta),
-    # so a capped iteration count would leave the grids orders of
-    # magnitude above the ridge that carries the mass
-    for _ in range(400):
-        prev = s.copy()
-        for i in range(k):
-            de = delta + float(rho @ s) - rho[i] * s[i]
-            denom = rho[i] * max(m - bpow[i] - 1.0, bpow[i] + 1.0)
-            s[i] = min(1.0, (bpow[i] + 1.0) * max(de, 1e-300) / denom)
-        if np.all(np.abs(s - prev) <= 1e-3 * np.abs(s)):
-            break
-    return s
+def _char_scales(bpow: np.ndarray, rho: np.ndarray, delta: np.ndarray,
+                 m: np.ndarray) -> list[np.ndarray]:
+    """Characteristic s scale per axis (conditional Beta-prime mean), for
+    each row of the (M, K) arrays bpow and rho, with that row's delta and
+    m: one array per model, over its axes with rho > 0.
+
+    Gauss-Seidel sweeps of s_i = min(1, (b_i+1) (delta + sum_(j != i)
+    rho_j s_j) / (rho_i max(m-b_i-1, b_i+1))) until a sweep moves no s_i
+    by more than 1e-3 relative; each model stops at its own last sweep.
+    The sweeps are scalar arithmetic, model by model: at the few axes a
+    block prior has, one numpy step over all models costs more than a
+    model's whole sweep.
+    """
+    out = []
+    for b, r, d, mm in zip(bpow, rho, delta.tolist(), m.tolist()):
+        r = r[r > 0.0]
+        num = (b[:len(r)] + 1.0).tolist()
+        den = (r * np.maximum(mm - b[:len(r)] - 1.0, num)).tolist()
+        r_f = r.tolist()
+        s = np.ones(len(r))
+        # iterate to convergence: at tiny delta the fixed point is O(delta),
+        # so a capped iteration count would leave the grids orders of
+        # magnitude above the ridge that carries the mass
+        for _ in range(400):
+            settled = True
+            for i in range(len(r)):
+                old = float(s[i])
+                de = d + float(r @ s) - r_f[i] * old
+                s[i] = new = min(1.0, num[i] * max(de, 1e-300) / den[i])
+                settled &= abs(new - old) <= 1e-3 * abs(new)
+            if settled:
+                break
+        out.append(s)
+    return out
 
 
 def _axis_edges(q: float, rho_i: float, de_i: float, m: float,
@@ -134,7 +157,8 @@ def _axis_nodes(edges: np.ndarray, n_gl: int) -> tuple[np.ndarray, np.ndarray]:
 def _tensor_pass(bpow: np.ndarray, rho: np.ndarray, delta: float, m: float,
                  refine: float, n_gl: int) -> tuple[float, np.ndarray, int]:
     k = len(bpow)
-    s_char = _char_scales(bpow, rho, delta, m)
+    s_char = _char_scales(bpow[None], rho[None], np.array([delta]),
+                          np.array([m]))[0]
     nodes_list, logw_list = [], []
     for i in range(k):
         de_i = delta + float(rho @ s_char) - rho[i] * s_char[i]
@@ -330,7 +354,8 @@ def block_integrals_qmc(bpow: np.ndarray, rho: np.ndarray, delta: float,
     beta = ba + 1.0
 
     radial_logf = _radial_logf(beta, ra, delta, m)
-    lo, hi, _ = peak_bracket(radial_logf, _radial_center(ba, ra, delta, m))
+    lo, hi, _ = peak_bracket(radial_logf, _radial_center(
+        ba[None], ra[None], np.array([delta]), np.array([m]))[0])
     grid = np.linspace(lo, hi, 400)
     prop = _AxisProposal(grid, radial_logf(grid))
 
@@ -391,21 +416,37 @@ def _radial_logf(beta: np.ndarray, rho: np.ndarray, delta: float, m: float):
     return logf
 
 
-def _radial_logf_columns(beta: np.ndarray, rho: np.ndarray, delta: float,
-                         m: float):
-    """The integrands of _radial_logf for J(0) and every J(e_i), as k+1
-    columns, from the 2k incomplete-gamma ratios at beta and beta + 1."""
-    k = len(beta)
-    shapes = np.concatenate([beta, beta + 1.0])
-    lgm = math.lgamma(m)
+def _radial_logf_columns(beta: np.ndarray, rho: np.ndarray,
+                         delta: np.ndarray, m: np.ndarray):
+    """The integrands of _radial_logf for J(0) and every J(e_i), as K+1
+    columns, for M models at once: logf(x, idx) takes each node's model.
+
+    beta and rho are (M, K), a model of fewer axes padded with beta = 1
+    and rho = 0. A padded entry's log ratio is set to exactly 0, so it adds
+    nothing to a sum, and the column it bumps repeats column 0. The 2k
+    incomplete-gamma ratios at beta and beta + 1 of every node's own axes
+    are one call of log_inc_gamma_ratio, whatever the batch.
+    """
+    k = beta.shape[1]
+    shapes = np.concatenate([beta, beta + 1.0], axis=1)
+    rho2 = np.concatenate([rho, rho], axis=1)
+    real = rho2 > 0.0
+    padded = not real.all()
+    lgm = np.array([math.lgamma(v) for v in m])
     diag = np.arange(k)
 
-    def logf(x: np.ndarray) -> np.ndarray:
+    def logf(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        # lam overflows far out in the tail: at delta = 0 that gives NaN,
+        # which peak_bracket treats as not negligible
         with np.errstate(over="ignore", invalid="ignore"):
             lam = np.exp(x)
-            arg = lam[:, None] * rho
-            ratio = log_inc_gamma_ratio(shapes, np.concatenate([arg, arg],
-                                                               axis=1))
+            arg = lam[:, None] * rho2[idx]
+            if padded:
+                sel = real[idx]
+                ratio = np.zeros(arg.shape)
+                ratio[sel] = log_inc_gamma_ratio(shapes[idx][sel], arg[sel])
+            else:
+                ratio = log_inc_gamma_ratio(shapes[idx], arg)
             base, bumped = ratio[:, :k], ratio[:, k:]
             # each bumped column is its own sum with entry i swapped, not
             # the base sum minus one term: far out both are -inf
@@ -413,16 +454,17 @@ def _radial_logf_columns(beta: np.ndarray, rho: np.ndarray, delta: float,
             swap[:, diag, diag] = bumped
             sums = np.concatenate([base.sum(axis=1)[:, None],
                                    swap.sum(axis=2)], axis=1)
-            return (m * x - lam * delta - lgm)[:, None] + sums
+            return (m[idx] * x - lam * delta[idx] - lgm[idx])[:, None] + sums
     return logf
 
 
-def _radial_center(bpow: np.ndarray, rho: np.ndarray, delta: float,
-                   m: float) -> float:
-    """Expected peak of the radial profile in x = log lam: lam ~ m over
-    delta + a typical rho.s."""
-    s_char = _char_scales(bpow, rho, delta, m)
-    return math.log(max(m, 1.0) / max(delta + float(rho @ s_char), 1e-300))
+def _radial_center(bpow: np.ndarray, rho: np.ndarray, delta: np.ndarray,
+                   m: np.ndarray) -> list[float]:
+    """Expected peak of the radial profile in x = log lam, per row of the
+    (M, K) arrays: lam ~ m over delta + a typical rho.s."""
+    return [math.log(max(mm, 1.0) / max(d + float(r[r > 0.0] @ s), 1e-300))
+            for r, d, mm, s in zip(rho, delta.tolist(), m.tolist(),
+                                   _char_scales(bpow, rho, delta, m))]
 
 
 def block_integrals_gamma1d(bpow: np.ndarray, rho: np.ndarray, delta: float,
@@ -442,27 +484,58 @@ def block_integrals_gamma1d(bpow: np.ndarray, rho: np.ndarray, delta: float,
     panels it splits. The reported error (the largest of the k+1
     |Kronrod - Gauss| estimates) bounds the actual error; n_evals counts
     nodes times k+1 integrands.
+
+    This is a batch of one of block_integrals_gamma1d_batch.
     """
-    bpow = np.asarray(bpow, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    delta = max(float(delta), 0.0)
-    _check_propriety(bpow, rho, delta, m)
-    active = rho > 0.0
-    ba, ra = bpow[active], rho[active]
-    if len(ba) == 0:
-        log_i0, log_ax = _fold_inactive(bpow, active, 0.0, np.empty(0))
-        return BlockIntegrals(log_i0, log_ax, 0.0, 0, "gamma1d")
-    n_evals = 0
-    radial = _radial_logf_columns(ba + 1.0, ra, delta, m)
+    return block_integrals_gamma1d_batch([(bpow, rho, delta, m)],
+                                         rtol=rtol)[0]
 
-    def logf(x: np.ndarray) -> np.ndarray:
-        nonlocal n_evals
-        n_evals += x.size * (len(ba) + 1)
-        return radial(x)
 
-    lo, hi, x_pk = peak_bracket(logf, _radial_center(ba, ra, delta, m))
+def block_integrals_gamma1d_batch(cases, *, rtol: float = 1e-10,
+                                  ) -> list[BlockIntegrals]:
+    """block_integrals_gamma1d for each (bpow, rho, delta, m) of cases, in
+    one pass: the models' integrals share every call of the integrand, in
+    the bracket scan, its end walk and each quadrature pass, and nothing
+    else. Each model keeps its own bracket, panels, convergence test and
+    inactive axes, and its node count n_evals (its own nodes times its own
+    k+1), so it gets the values it gets alone. Raises when any model
+    does."""
+    out: list[BlockIntegrals | None] = [None] * len(cases)
+    todo = []
+    for j, (bpow, rho, delta, m) in enumerate(cases):
+        bpow = np.asarray(bpow, dtype=float)
+        rho = np.asarray(rho, dtype=float)
+        delta = max(float(delta), 0.0)
+        _check_propriety(bpow, rho, delta, m)
+        active = rho > 0.0
+        if active.any():
+            todo.append((j, bpow, active, rho[active], delta, float(m)))
+        else:
+            log_i0, log_ax = _fold_inactive(bpow, active, 0.0, np.empty(0))
+            out[j] = BlockIntegrals(log_i0, log_ax, 0.0, 0, "gamma1d")
+    if not todo:
+        return out
+    n_ax = np.array([len(c[3]) for c in todo])
+    bpow = np.zeros((len(todo), n_ax.max()))
+    rho = np.zeros(bpow.shape)
+    for r, (_, b, active, ra, _, _) in enumerate(todo):
+        bpow[r, :len(ra)], rho[r, :len(ra)] = b[active], ra
+    delta = np.array([c[4] for c in todo])
+    m = np.array([c[5] for c in todo])
+    nodes = np.zeros(len(todo), dtype=np.int64)
+    radial = _radial_logf_columns(bpow + 1.0, rho, delta, m)
+
+    def logf(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        nodes[:] += np.bincount(idx, minlength=len(nodes))
+        return radial(x, idx)
+
+    lo, hi, x_pk = peak_bracket(logf, _radial_center(bpow, rho, delta, m))
     vals, errs = adaptive_log_integral(logf, lo, hi, rtol=0.1 * rtol,
                                        seed_points=(x_pk,))
-    log_i0, log_ax = _fold_inactive(bpow, active, float(vals[0]), vals[1:])
-    return BlockIntegrals(log_i0, log_ax, float(errs.max()), n_evals,
-                          "gamma1d")
+    for r, (j, b, active, _, _, _) in enumerate(todo):
+        k = n_ax[r]
+        log_i0, log_ax = _fold_inactive(b, active, float(vals[r, 0]),
+                                        vals[r, 1:k + 1])
+        out[j] = BlockIntegrals(log_i0, log_ax, float(errs[r, :k + 1].max()),
+                                int(nodes[r] * (k + 1)), "gamma1d")
+    return out

@@ -24,7 +24,7 @@ from .errors import (BudgetExceeded, DimensionMismatch, DomainError,
 # 2-vCPU VM (README, "Command line")
 ALL_SUBSETS_MAX_P = 18
 _BATCH = 4096  # models factored per batched QR in an all-subsets search
-_SCORE_CHUNK = 256  # models per hyper_g_scores call in an all-subsets search
+_SCORE_CHUNK = 256  # models per hyper-g or block-posterior scoring call
 
 
 @dataclass(frozen=True)
@@ -342,55 +342,98 @@ def block_subsets_scores(d: design.CenteredDesign, specs: list[ModelSpec],
     beta = R_S^-1 (t * u) with t_i repeated over block i. Nothing per model
     depends on n.
 
+    The work is stacked over models: the rank checks are one SVD per block
+    size, kappa and the posterior means are solves over the models of one
+    block layout, and every _SCORE_CHUNK models share one batched block
+    posterior (`blockprior._block_posteriors`), whose integrals share
+    their integrand calls. What stays per model is each integral's bracket,
+    panels and convergence, so a model scores as it does alone.
+
     `model_inference` agrees to rounding, except on a design that passes
     `design.check_block_orthogonality` without being exactly orthogonal: it
     then skips orthogonalization and takes raw block projections, which
     differ from these by up to about ORTHO_TOL (1e-8) relative.
     """
-    n, p = d.n, d.p
+    n = d.n
     R = _xy_triangle(d)
     yty = float(d.y @ d.y)
+    # models that share their blocks' sizes share every slice below
+    layouts: dict[tuple[int, ...], list[int]] = {}
     orders = []  # each model's columns of X, in block order
-    for spec in specs:
-        cols = spec.included
-        orders.append([] if spec.is_null else
-                      [cols[c] for b in spec.induced_partition.blocks
-                       for c in b])
-    sizes = np.array([len(o) for o in orders])
-    log_bfs = np.zeros(len(specs))
-    means = np.zeros((len(specs), p))
-    methods = ["closed-form"] * len(specs)
-    for s in np.unique(sizes[sizes > 0]):
-        idx = np.flatnonzero(sizes == s)
+    for i, spec in enumerate(specs):
+        if spec.is_null:
+            orders.append([])
+            continue
+        part = spec.induced_partition
+        orders.append([spec.included[c] for b in part.blocks for c in b])
+        layouts.setdefault(part.sizes, []).append(i)
+    # per layout: its models and their triangles; per block size: the
+    # residualized blocks, keyed (size, model, block) in the order a
+    # one-model-at-a-time check meets them
+    groups = []
+    blocks: dict[int, list] = {}
+    for sizes, idx in layouts.items():
+        idx = np.array(idx)
+        s = sum(sizes)
         tri, r2, omr2 = _subset_triangles(
             R, np.array([orders[i] for i in idx]))
+        groups.append((sizes, idx, tri, r2, omr2))
+        edges = np.cumsum((0,) + sizes)
+        for b, (e0, e1) in enumerate(zip(edges[:-1], edges[1:])):
+            blocks.setdefault(e1 - e0, []).append(
+                (tri[:, e0:e1, e0:e1], [(s, i, b) for i in idx]))
+    # the residualized blocks' rank checks, each naming the block at fault
+    faults = []
+    for parts in blocks.values():
+        stack = np.concatenate([blk for blk, _ in parts])
+        keys = [key for _, part_keys in parts for key in part_keys]
+        sv = np.linalg.svd(stack, compute_uv=False)
+        bad = (sv[:, 0] == 0.0) | (sv[:, -1] < design.RANK_RTOL * sv[:, 0])
+        faults += [(keys[j], stack[j]) for j in np.flatnonzero(bad)]
+    if faults:
+        (_, _, b), block = min(faults, key=lambda f: f[0])
+        design.rank_check(block, f"residualized block {b + 1}")
+    # this one catches an ill-conditioned pair split across two blocks
+    _rank_check_all(R)
+    log_bfs = np.zeros(len(specs))
+    means = np.zeros((len(specs), d.p))
+    methods = ["closed-form"] * len(specs)
+    t_means: list[np.ndarray | None] = [None] * len(specs)
+    priors, fits, scored = [], [], []
+    for sizes, idx, tri, r2, omr2 in groups:
+        s = sum(sizes)
+        u = tri[:, :s, s]
+        edges = np.cumsum((0,) + sizes)
+        kappa = np.concatenate(
+            [np.linalg.solve(tri[:, e0:e1, e0:e1], u[:, e0:e1, None])[..., 0]
+             for e0, e1 in zip(edges[:-1], edges[1:])], axis=1)
+        r2_blocks = (np.add.reduceat(u * u, edges[:-1], axis=1) / yty
+                     if yty > 0 else np.zeros((len(idx), len(sizes))))
+        dof = n - s - 1
+        sigma2 = tri[:, s, s] ** 2 / dof if dof > 0 else np.zeros(len(idx))
         for j, i in enumerate(idx):
-            part = specs[i].induced_partition
-            R_S, u = tri[j, :s, :s], tri[j, :s, s]
-            edges = np.cumsum((0,) + part.sizes)
-            kappa = np.empty(s)
-            r2_blocks = np.empty(part.k)
-            for b in range(part.k):
-                blk = slice(edges[b], edges[b + 1])
-                design.rank_check(R_S[blk, blk], f"residualized block {b + 1}")
-                kappa[blk] = np.linalg.solve(R_S[blk, blk], u[blk])
-                r2_blocks[b] = u[blk] @ u[blk] / yty if yty > 0 else 0.0
-            dof = n - s - 1
-            fit = design.FitSummary(
-                n=n, p=int(s), p_i=part.sizes, alpha_hat=d.y_mean,
-                beta_hat_ls=kappa,
-                sigma2_hat=tri[j, s, s] ** 2 / dof if dof > 0 else 0.0,
-                r2=float(r2[j]), r2_blocks=r2_blocks, yty=yty,
-                one_minus_r2=float(omr2[j]), block_orthogonal=True)
-            post = blockprior.bf_block_hyper_g(
-                blockprior.BlockHyperGPrior(a, part), fit, rtol=rtol)
-            t = np.repeat(post.t_mean, part.sizes)
-            means[i, orders[i]] = np.linalg.solve(R_S, t * u)
+            priors.append(blockprior.BlockHyperGPrior(
+                a, specs[i].induced_partition))
+            fits.append(design.FitSummary(
+                n=n, p=s, p_i=sizes, alpha_hat=d.y_mean,
+                beta_hat_ls=kappa[j], sigma2_hat=float(sigma2[j]),
+                r2=float(r2[j]), r2_blocks=r2_blocks[j], yty=yty,
+                one_minus_r2=float(omr2[j]), block_orthogonal=True))
+            scored.append(i)
+    for start in range(0, len(scored), _SCORE_CHUNK):
+        chunk = slice(start, start + _SCORE_CHUNK)
+        posts = blockprior._block_posteriors(priors[chunk], fits[chunk],
+                                             rtol=rtol)
+        for i, post in zip(scored[chunk], posts):
             log_bfs[i] = post.log_bf_null
             methods[i] = post.method
-    # after the per-block checks, which name the block at fault; this one
-    # catches an ill-conditioned pair split across two blocks
-    _rank_check_all(R)
+            t_means[i] = post.t_mean
+    for sizes, idx, tri, _, _ in groups:
+        s = sum(sizes)
+        t = np.repeat(np.array([t_means[i] for i in idx]), sizes, axis=1)
+        means[idx[:, None], np.array([orders[i] for i in idx])] = (
+            np.linalg.solve(tri[:, :s, :s], (t * tri[:, :s, s])[..., None])
+            [..., 0])
     return log_bfs, means, methods
 
 

@@ -129,10 +129,12 @@ def _log_euler_quad(a: float, b: float, c: float, one_minus_z: float, *,
     The integrand becomes t^b (1-t)^(c-b) ((1-t) + t(1-z))^-a over the real
     line, with log t = -log(1+e^-u) and log(1-t) = -log(1+e^u), so both
     endpoint power laws are straight tails and 1-z enters exactly, however
-    small. One `peak_bracket` from u = 0 finds the peak (near log(1/(1-z))
-    when a > c-b) and walks each end out, also along the slow slope of
-    rate |c-b-a| that a barely convergent 2F1 has between u = 0 and
-    log(1/(1-z)); one adaptive pass seeded at the peak integrates it.
+    small. One `peak_bracket` finds the peak and walks each end out, also
+    along the slow slope of rate |c-b-a| that a barely convergent 2F1 has
+    between u = 0 and log(1/(1-z)); one adaptive pass seeded at the peak
+    integrates it. The scan starts where the peak is expected: near
+    u = log(1/(1-z)) when a > c-b, where the factor ((1-t) + t(1-z))^-a
+    still rises, and near u = 0 otherwise.
     """
     log_delta = math.log(one_minus_z)
 
@@ -142,7 +144,7 @@ def _log_euler_quad(a: float, b: float, c: float, one_minus_z: float, *,
         return (b * log_t + (c - b) * log_1mt
                 - a * np.logaddexp(log_1mt, log_t + log_delta))
 
-    lo, hi, u_pk = peak_bracket(logf, 0.0)
+    lo, hi, u_pk = peak_bracket(logf, -log_delta if a > c - b else 0.0)
     return adaptive_log_integral(logf, lo, hi, rtol=rtol,
                                  seed_points=(u_pk,))[0]
 

@@ -11,6 +11,7 @@ import pytest
 
 from blockhyperg import integrate
 from blockhyperg.blockprior import (BlockHyperGPrior, Sigma2Density,
+                                    _block_posteriors,
                                     _laplace_log_integral, bf_block_hyper_g,
                                     bf_laplace, clp_lower_bound,
                                     laplace_t_star, log_bf_laplace,
@@ -159,6 +160,50 @@ class TestBlockPosterior:
             BlockHyperGPrior(2.0, part)
         with pytest.raises(DomainError):
             BlockHyperGPrior(4.1, part)
+
+
+def _summary(n, sizes, r2_blocks, omr2):
+    """A block-orthogonal fit with these block R^2 and 1-R^2, y'y = 1."""
+    p = sum(sizes)
+    return FitSummary(n=n, p=p, p_i=tuple(sizes), alpha_hat=0.0,
+                      beta_hat_ls=np.ones(p), sigma2_hat=omr2 / (n - p - 1),
+                      r2=1.0 - omr2, r2_blocks=np.array(r2_blocks, float),
+                      yty=1.0, one_minus_r2=omr2, block_orthogonal=True)
+
+
+class TestBatch:
+    """A batch of block posteriors shares its integrand calls and nothing
+    else: every member scores as it does alone."""
+
+    MEMBERS = [
+        # (a, sizes, n, block R^2, 1-R^2)
+        (3.0, (2, 1), 40, (0.5, 0.2), 0.3),
+        (3.0, (1, 1, 2), 40, (0.3, 0.1, 0.05), 0.55),  # another k
+        (3.0, (1, 2), 40, (0.4, 0.0), 0.6),  # an inactive block
+        (3.0, (1, 1), 12, (0.6, 0.4), 1e-300),  # 1-R^2 = 1e-300
+        (4.0, (2, 500), 600, (0.3, 0.2), 0.5),  # b_2 = 250
+        (3.0, (1, 1), 20, (0.7, 0.3), 0.0),  # the limit sentinel
+    ]
+
+    def test_members_score_as_alone(self):
+        priors = [BlockHyperGPrior(a, BlockPartition.contiguous(sizes))
+                  for a, sizes, *_ in self.MEMBERS]
+        fits = [_summary(n, sizes, r2, omr2)
+                for _, sizes, n, r2, omr2 in self.MEMBERS]
+        batch = _block_posteriors(priors, fits, rtol=1e-10)
+        refined = 0
+        for prior, fit, got in zip(priors, fits, batch):
+            alone = bf_block_hyper_g(prior, fit, rtol=1e-10)
+            assert got.method == alone.method
+            assert got.log_bf_null == alone.log_bf_null
+            np.testing.assert_array_equal(got.t_mean, alone.t_mean)
+            assert got.error_estimate == alone.error_estimate
+            assert got.n_evals == alone.n_evals
+            assert got.sigma2_mean == alone.sigma2_mean
+            # the scan and the first pass are 61 + 168 nodes per column
+            refined += got.n_evals > 229 * (prior.k + 1)
+        assert batch[-1].method == "limit" and batch[-1].n_evals == 0
+        assert refined >= 1
 
 
 class TestDivergenceSentinels:

@@ -228,6 +228,20 @@ class TestFit:
         assert len(report["config_hash"]) == 64
         assert report["version"]
 
+    def test_fit_reports_evaluations(self, tmp_path):
+        # the block posterior's node count times its k+1 integrands; a
+        # closed form evaluates no integrand
+        for prior, k in (({"type": "block-hyper-g", "a": 3.0}, 2),
+                         ({"type": "hyper-g", "a": 3.0}, None)):
+            cfg = self._fit_cfg(tmp_path, prior)
+            assert _run(tmp_path, cfg) == EXIT_OK
+            report = json.loads((tmp_path / "fit.json").read_text())
+            if k is None:
+                assert report["n_evals"] == 0
+            else:
+                assert report["n_evals"] > 0
+                assert report["n_evals"] % (k + 1) == 0
+
     def test_block_fit_integrates_once(self, tmp_path, monkeypatch):
         # the sigma^2 mean comes from the block posterior's own integral;
         # every module's binding of the 1-D integrator is counted

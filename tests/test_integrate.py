@@ -18,6 +18,7 @@ from blockhyperg._quadlog import (GAUSS_WEIGHTS, KRONROD_NODES,
                                   logsumexp, peak_bracket)
 from blockhyperg.errors import DomainError, IntegralDiverges, NoConvergence
 from blockhyperg.integrate import (block_integrals_gamma1d,
+                                   block_integrals_gamma1d_batch,
                                    block_integrals_qmc,
                                    block_integrals_quadrature)
 
@@ -202,6 +203,37 @@ class TestAgainstOracles:
             res.error, 4e-16 * max(1.0, abs(want)))
         assert res.log_i0 == pytest.approx(want, rel=0.0, abs=rtol)
         np.testing.assert_allclose(res.s_mean, want_s, rtol=0.0, atol=rtol)
+
+
+    def test_reported_error_bounds_the_actual_error_in_a_batch(self):
+        # the draws of the test above, from the same ranges, scored
+        # together: each batch mixes large and small blocks and 1-R^2
+        # from 1e-12 to 0.3, and is held to the same bound
+        rng = np.random.default_rng(11)
+        draws = [(3.0, 2, 500, 2, 0.5, -12.0), (4.0, 1, 60, 40, 0.9, -12.0)]
+        for _ in range(8):
+            draws.append((rng.uniform(2.5, 4.0), int(rng.integers(1, 5)),
+                          int(rng.choice([rng.integers(1, 5),
+                                          rng.integers(50, 501)])),
+                          int(rng.integers(2, 1601)), rng.uniform(0.05, 0.95),
+                          rng.uniform(-12.0, math.log10(0.3))))
+        cases, wants = [], []
+        for a, p1, p2, extra, share, log10_omr2 in draws:
+            sizes, n = (p1, p2), p1 + p2 + extra
+            omr2 = 10.0 ** log10_omr2
+            rho = [share * (1.0 - omr2), (1.0 - share) * (1.0 - omr2)]
+            want_bf, want_s = oracles.block_k2(a, n, sizes, rho, omr2)
+            wants.append((want_bf - 2.0 * math.log(0.5 * (a - 2.0)), want_s))
+            cases.append((0.5 * (a + np.array(sizes, dtype=float)) - 2.0,
+                          np.array(rho), omr2, 0.5 * (n - 1)))
+        for rtol in (1e-4, 1e-7):
+            results = block_integrals_gamma1d_batch(cases, rtol=rtol)
+            for res, (want, want_s) in zip(results, wants):
+                assert abs(res.log_i0 - want) <= max(
+                    res.error, 4e-16 * max(1.0, abs(want)))
+                assert res.log_i0 == pytest.approx(want, rel=0.0, abs=rtol)
+                np.testing.assert_allclose(res.s_mean, want_s, rtol=0.0,
+                                           atol=rtol)
 
 
 class TestVectorQuadrature:

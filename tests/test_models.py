@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from blockhyperg import design, hyperg
+from blockhyperg import design, hyperg, integrate
 from blockhyperg.design import (BlockPartition, CenteredDesign,
                                 block_orthogonalize, center_design)
 from blockhyperg.errors import (BudgetExceeded, DimensionMismatch,
@@ -386,6 +386,30 @@ class TestBlockSubsetsTriangle:
                             "block-subsets")
         with pytest.raises(RankDeficient, match="residualized block"):
             evaluate_model_space(d, "block-subsets")
+
+
+    def test_search_shares_its_integrand_calls(self, monkeypatch):
+        # seven models of one to three blocks: one bracket scan and one
+        # quadrature pass for the whole search, each a single call of the
+        # incomplete-gamma ratios for every model's nodes
+        real, calls = integrate.log_inc_gamma_ratio, []
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return real(*args)
+        monkeypatch.setattr(integrate, "log_inc_gamma_ratio", counting)
+        d = _design(n=100, sizes=(2, 2, 2),
+                    beta=(1.0, -0.8, 0.6, 0.9, 0.0, 0.0), seed=7)
+        post, _, methods = evaluate_model_space(d, "block-subsets",
+                                                rtol=1e-4)
+        assert methods.count("gamma1d") == 7
+        assert len(calls) == 2
+        monkeypatch.setattr(integrate, "log_inc_gamma_ratio", real)
+        for i, spec in enumerate(post.models):
+            log_bf, _, _ = model_inference(d, spec, "block-subsets",
+                                           rtol=1e-4)
+            assert post.log_bf_null[i] == pytest.approx(log_bf, rel=1e-12,
+                                                        abs=1e-12)
 
 
 class TestBmaPredict:
