@@ -8,6 +8,11 @@ The hyper-g Bayes factor and shrinkage have one evaluator,
 `hyper_g_scores`, over any number of models. `log_bf_hyper_g_stats` and
 `shrinkage_hyper_g_stats` are one-model calls of its route table
 (`_route_table`), so a model scores the same through every entry point.
+Every row of the table is vectorized over its models: the closed form
+through the incomplete beta function, the Gauss series, the limits at
+unit R^2, and, near R^2 = 1 where the series would be long, one batch of
+k = 1 block integrals (`integrate.block_integrals_gamma1d_batch`), since
+the hyper-g prior is the block hyper-g prior with one block.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincc, betaln
 
-from ._quadlog import adaptive_log_integral, peak_bracket
 from .design import FitSummary
 from .errors import DomainError
-from .special import hyp2f1_log, log_series_2f1
+from .integrate import block_integrals_gamma1d_batch
+from .special import log_series_2f1, takes_series
 
 
 @dataclass(frozen=True)
@@ -81,8 +86,8 @@ def _resolve_r2(r2: float, one_minus_r2: float | None) -> tuple[float, float]:
     if not (0.0 <= r2 <= 1.0):
         raise DomainError(f"need 0 <= R^2 <= 1, got {r2}")
     omr2 = (1.0 - r2) if one_minus_r2 is None else float(one_minus_r2)
-    if not omr2 >= 0.0:
-        raise DomainError(f"need 1 - R^2 >= 0, got {omr2}")
+    if not 0.0 <= omr2 <= 1.0:
+        raise DomainError(f"need 0 <= 1 - R^2 <= 1, got {omr2}")
     return float(r2), omr2
 
 
@@ -118,7 +123,8 @@ def _closed_form(a, n, p, omr2) -> tuple[np.ndarray, np.ndarray]:
 
     Both values are NaN where an incomplete-beta factor is below the
     smallest normal double, which happens for blocks of thousands of
-    predictors with n near p; `_route_table` takes `hyp2f1_log` there.
+    predictors with n near p; `_route_table` scores those entries as it
+    scores the band n <= p+a+1.
     """
     m = 0.5 * (n - 1.0)
     c = 0.5 * (a + p)
@@ -137,8 +143,7 @@ def _closed_form(a, n, p, omr2) -> tuple[np.ndarray, np.ndarray]:
 
 def _series_form(a, n, p, omr2) -> tuple[np.ndarray, np.ndarray]:
     """Hyper-g log Bayes factor and shrinkage through the Gauss series,
-    elementwise: the route `hyp2f1_log` takes for R^2 <= 0.95, with
-    R^2 = 1 - (1-R^2) as it forms it."""
+    elementwise, at R^2 = 1 - (1-R^2)."""
     m = 0.5 * (n - 1.0)
     c = 0.5 * (a + p)
     log_den = log_series_2f1(m, 1.0, c, 1.0 - omr2)
@@ -150,42 +155,54 @@ def _series_form(a, n, p, omr2) -> tuple[np.ndarray, np.ndarray]:
 def _route_table(a: float, n, p, r2, omr2) -> tuple[np.ndarray, np.ndarray]:
     """Hyper-g log BF and shrinkage over flat arrays of (n, p, R^2, 1-R^2)
     with n >= 1, unchecked; the log BF is meaningful for n > p+1 only.
+    Every row is vectorized over its models, and each forms R^2 as
+    1 - (1-R^2), so the R^2 array itself is not read:
 
-    - 0 < 1-R^2 <= 1/2 and n > p+a+1: the closed form, vectorized;
-    - 1-R^2 > 1/2: the series, vectorized. Below R^2 = 1/2 the closed
-      form loses digits to cancellation between its beta function and its
+    - 0 < 1-R^2 <= 1/2 and n > p+a+1: the closed form. Below R^2 = 1/2
+      it loses digits to cancellation between its beta function and its
       incomplete-beta factor;
-    - unit R^2: the shrinkage limits and, for n >= p+a-1, a +inf log BF;
+    - every other entry where `special.takes_series` holds (R^2 <= 0.95,
+      or at most 60,000 terms): the series. That is all of R^2 < 1/2, and
+      the band n <= p+a+1 and closed-form underflow while the series is
+      short;
+    - unit R^2: the shrinkage limits, and the log BF: +inf for
+      n >= p+a-1 and Gauss's summation log((a-2)/(a+p-n-1)) below;
     - n = 1: shrinkage 2/(p+a);
-    - the rest, one entry at a time through `hyp2f1_log`: the band
-      n <= p+a+1 near R^2 = 1, closed-form underflow, and the finite log
-      BF at unit R^2.
+    - the rest, where the series is long (the band near R^2 = 1): one
+      batch of k = 1 block integrals, the hyper-g prior being the block
+      prior with one block. There b = (a+p)/2 - 2, rho = R^2,
+      delta = 1-R^2 and m = (n-1)/2, so log BF = log((a-2)/2) + log J(0)
+      and the shrinkage is t_mean[0].
     """
     log_bf = np.full(omr2.shape, np.nan)
     shrink = np.empty(omr2.shape)
     closed = (omr2 > 0.0) & (omr2 <= 0.5) & (n > p + a + 1.0)
-    series = (omr2 > 0.5) & (omr2 <= 1.0)
-    for route, form in ((closed, _closed_form), (series, _series_form)):
-        if route.any():
-            log_bf[route], shrink[route] = form(a, n[route], p[route],
-                                                omr2[route])
+    if closed.any():
+        log_bf[closed], shrink[closed] = _closed_form(a, n[closed], p[closed],
+                                                      omr2[closed])
     closed &= np.isfinite(log_bf)
     unit = omr2 == 0.0
+    series = ~(closed | unit) & takes_series(0.5 * (n - 1.0), 1.0,
+                                             0.5 * (a + p), 1.0 - omr2)
+    if series.any():
+        log_bf[series], shrink[series] = _series_form(
+            a, n[series], p[series], omr2[series])
     shrink[unit] = np.where(n[unit] >= p[unit] + a - 1.0, 1.0,
                             2.0 / (p[unit] + a - n[unit] + 1.0))
+    log_bf[unit] = math.inf
+    finite = unit & (n < a + p - 1.0)
+    log_bf[finite] = np.log((a - 2.0) / (a + p[finite] - n[finite] - 1.0))
     single = (n == 1) & ~unit
     shrink[single] = 2.0 / (p[single] + a)
-    diverges = unit & (n >= a + p - 1.0)
-    log_bf[diverges] = math.inf
-    for i in np.flatnonzero(~(closed | series | diverges | single)):
-        ni, pi, om = int(n[i]), int(p[i]), float(omr2[i])
-        m, c = 0.5 * (ni - 1), 0.5 * (a + pi)
-        z = float(r2[i]) if om > 0.0 else 1.0
-        log_den = hyp2f1_log(m, 1.0, c, z, one_minus_z=om)
-        log_bf[i] = math.log(a - 2.0) - math.log(pi + a - 2.0) + log_den
-        if om > 0.0:
-            log_num = hyp2f1_log(m, 2.0, c + 1.0, z, one_minus_z=om)
-            shrink[i] = (2.0 / (pi + a)) * math.exp(log_num - log_den)
+    near = np.flatnonzero(~(closed | unit | series | single))
+    if near.size:
+        ints = block_integrals_gamma1d_batch(
+            [([0.5 * (a + pi) - 2.0], [1.0 - om], om, 0.5 * (ni - 1.0))
+             for ni, pi, om in zip(n[near].tolist(), p[near].tolist(),
+                                   omr2[near].tolist())])
+        log_bf[near] = math.log(0.5 * (a - 2.0)) + np.array(
+            [j.log_i0 for j in ints])
+        shrink[near] = [j.t_mean[0] for j in ints]
     return log_bf, shrink
 
 
@@ -194,8 +211,8 @@ def hyper_g_scores(a: float, n, p, r2, one_minus_r2,
     """log BF against the null and shrinkage E[g/(1+g) | y], elementwise
     over broadcast arrays of (n, p, R^2, 1-R^2), from `_route_table`.
 
-    Raises DomainError for n <= p+1 or an R^2 outside [0, 1] before any
-    2F1 is evaluated, and warns at exact unit R^2 with n in
+    Raises DomainError for n <= p+1, or an R^2 or 1-R^2 outside [0, 1],
+    before any model is scored, and warns at exact unit R^2 with n in
     [p+a-1, p+a+1], where the +inf log BF is the divergent limit.
     """
     args = np.broadcast_arrays(np.asarray(n), np.asarray(p),
@@ -206,7 +223,7 @@ def hyper_g_scores(a: float, n, p, r2, one_minus_r2,
     if bad.any():
         i = np.argmax(bad)
         raise DomainError(f"need n > p + 1, got n={n[i]}, p={p[i]}")
-    bad = ~((r2 >= 0.0) & (r2 <= 1.0) & (omr2 >= 0.0))
+    bad = ~((r2 >= 0.0) & (r2 <= 1.0) & (omr2 >= 0.0) & (omr2 <= 1.0))
     if bad.any():
         _resolve_r2(float(r2[bad][0]), float(omr2[bad][0]))
     if np.any((omr2 == 0.0) & (n >= a + p - 1.0) & (n <= p + a + 1.0)):
@@ -233,35 +250,6 @@ def log_bf_hyper_g_stats(a: float, n: int, p: int, r2: float,
 def bf_hyper_g(prior: HyperGPrior, fit: FitSummary) -> float:
     return math.exp(log_bf_hyper_g_stats(prior.a, fit.n, fit.p, fit.r2,
                                          fit.one_minus_r2))
-
-
-def log_bf_hyper_g_gquad(a: float, n: int, p: int, r2: float,
-                         one_minus_r2: float | None = None,
-                         rtol: float = 1e-11) -> float:
-    """Same Bayes factor through direct quadrature over g (cross-check form).
-
-    Integrates (1+g)^((n-p-1-a)/2) [1+g(1-R^2)]^(-(n-1)/2) (a-2)/2 dg in
-    x = log g coordinates.
-    """
-    if n <= p + 1:
-        raise DomainError(f"need n > p + 1, got n={n}, p={p}")
-    r2, omr2 = _resolve_r2(r2, one_minus_r2)
-    if omr2 <= 0.0:
-        raise DomainError("g-space quadrature form requires R^2 < 1")
-    c1 = 0.5 * (n - p - 1 - a)
-    c2 = 0.5 * (n - 1)
-
-    def logf(x: np.ndarray) -> np.ndarray:
-        g = np.exp(x)
-        return x + c1 * np.log1p(g) - c2 * np.log1p(g * omr2)
-
-    # integrand ~ g below 1, ~ g^(1 + c1 - c2) above max(1, 1/(1-R^2))
-    if c2 - c1 - 1.0 <= 0.0:
-        raise DomainError("g integral diverges for these (n, p, a)")
-    lo, hi, x_pk = peak_bracket(logf, 0.0)
-    val, _ = adaptive_log_integral(logf, lo, hi, rtol=rtol,
-                                   seed_points=(x_pk,))
-    return math.log(0.5 * (a - 2.0)) + val
 
 
 def shrinkage_hyper_g_stats(a: float, n: int, p: int, r2: float,

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from . import kernels
 from ._quadlog import adaptive_log_integral, gl_rule, peak_bracket
@@ -426,6 +426,13 @@ def _radial_logf_columns(beta: np.ndarray, rho: np.ndarray,
     nothing to a sum, and the column it bumps repeats column 0. The 2k
     incomplete-gamma ratios at beta and beta + 1 of every node's own axes
     are one call of log_inc_gamma_ratio, whatever the batch.
+
+    Beyond x = log(max double), about 709.8, lam overflows. With delta > 0
+    the integrand is then negligible, and the overflow gives -inf. At
+    delta = 0 the tail decays only as lam^(m - sum beta_i), so a model
+    with delta = 0 takes those nodes' ratios from their limit
+    log Gamma(beta) - beta (x + log rho), and lam delta as 0; a batch
+    without such a model does no more work.
     """
     k = beta.shape[1]
     shapes = np.concatenate([beta, beta + 1.0], axis=1)
@@ -434,10 +441,13 @@ def _radial_logf_columns(beta: np.ndarray, rho: np.ndarray,
     padded = not real.all()
     lgm = np.array([math.lgamma(v) for v in m])
     diag = np.arange(k)
+    unit = delta == 0.0
+    at_unit = bool(unit.any())
+    if at_unit:
+        log_rho2 = np.log(np.where(real, rho2, 1.0))
+        lg_shapes = gammaln(shapes)
 
     def logf(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        # lam overflows far out in the tail: at delta = 0 that gives NaN,
-        # which peak_bracket treats as not negligible
         with np.errstate(over="ignore", invalid="ignore"):
             lam = np.exp(x)
             arg = lam[:, None] * rho2[idx]
@@ -447,6 +457,13 @@ def _radial_logf_columns(beta: np.ndarray, rho: np.ndarray,
                 ratio[sel] = log_inc_gamma_ratio(shapes[idx][sel], arg[sel])
             else:
                 ratio = log_inc_gamma_ratio(shapes[idx], arg)
+            tilt = lam * delta[idx]
+            if at_unit:
+                far = np.flatnonzero(np.isinf(lam) & unit[idx])
+                j = idx[far]
+                ratio[far] = np.where(real[j], lg_shapes[j] - shapes[j] * (
+                    x[far, None] + log_rho2[j]), 0.0)
+                tilt[far] = 0.0
             base, bumped = ratio[:, :k], ratio[:, k:]
             # each bumped column is its own sum with entry i swapped, not
             # the base sum minus one term: far out both are -inf
@@ -454,7 +471,7 @@ def _radial_logf_columns(beta: np.ndarray, rho: np.ndarray,
             swap[:, diag, diag] = bumped
             sums = np.concatenate([base.sum(axis=1)[:, None],
                                    swap.sum(axis=2)], axis=1)
-            return (m[idx] * x - lam * delta[idx] - lgm[idx])[:, None] + sums
+            return (m[idx] * x - tilt - lgm[idx])[:, None] + sums
     return logf
 
 

@@ -16,9 +16,11 @@ integrand t^b (1-t)^(c-b) ((1-t) + t(1-z))^-a has straight exponential
 tails at both ends and takes 1-z exactly. Its interval comes from
 `_quadlog.peak_bracket`, the one bracket of every 1-D integral here.
 
-The hyper-g Bayes factor and shrinkage use neither route when R^2 >= 1/2
-and n > p+a+1: `hyperg` evaluates them there in closed form through the
-incomplete beta function.
+The hyper-g Bayes factor and shrinkage take neither `hyp2f1_log` nor the
+Euler quadrature. `hyperg` evaluates them in closed form through the
+incomplete beta function at R^2 >= 1/2 when n > p+a+1, sums this series
+elsewhere wherever hyp2f1_log would (`takes_series`), and takes the k = 1
+block integral of `integrate` where hyp2f1_log would integrate.
 """
 
 from __future__ import annotations
@@ -46,12 +48,19 @@ def _validate(a: float, b: float, c: float, z: float) -> None:
         raise DomainError(f"need 0 <= z < 1, got z={z}")
 
 
-def _series_terms_estimate(a: float, b: float, c: float, z: float) -> float:
-    if z <= 0.0:
-        return 1.0
-    lam = -math.log(z)
-    # terms behave like k^(a+b-c-1) z^k; peak + decay length
-    return (max(0.0, a + b - c) + 60.0) / max(lam, 1e-18) + 60.0
+def _series_terms_estimate(a, b, c, z):
+    """Terms the Gauss series needs, elementwise for 0 <= z <= 1: they
+    behave like k^(a+b-c-1) z^k, so a peak plus a decay length."""
+    lam = np.maximum(-np.log(np.where(z > 0.0, z, 1.0)), 1e-18)
+    return np.where(z > 0.0, (np.maximum(0.0, a + b - c) + 60.0) / lam
+                    + 60.0, 1.0)
+
+
+def takes_series(a, b, c, z):
+    """Whether hyp2f1_log sums the series for 2F1(a, b; c; z), elementwise:
+    at z <= 0.95, and where the series needs at most 60,000 terms. It
+    integrates the Euler integral elsewhere."""
+    return (z <= 0.95) | (_series_terms_estimate(a, b, c, z) <= 60_000)
 
 
 def log_series_2f1(a, b, c, z):
@@ -172,7 +181,7 @@ def hyp2f1_log(a: float, b: float, c: float, z: float,
     _validate(a, b, c, min(z, 1.0 - 1e-16) if z >= 1.0 else z)
     if z == 0.0:
         return 0.0
-    if z <= 0.95 or _series_terms_estimate(a, b, c, z) <= 60_000:
+    if takes_series(a, b, c, z):
         return log_series_2f1(a, b, c, z)
     return _log_euler_quad(a, b, c, delta) - _log_beta(b, c - b)
 

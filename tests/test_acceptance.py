@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from gquad import log_bf_hyper_g_gquad
 
 from blockhyperg import integrate
 from blockhyperg.blockprior import (BlockHyperGPrior, bf_block_hyper_g,
@@ -20,8 +21,7 @@ from blockhyperg.experiments import (run_clp_experiment,
                                      run_prediction_consistency,
                                      run_selection_consistency,
                                      sigma2_limit_check, standard_sequence)
-from blockhyperg.hyperg import (log_bf_hyper_g_gquad, log_bf_hyper_g_stats,
-                                shrinkage_hyper_g_stats)
+from blockhyperg.hyperg import log_bf_hyper_g_stats, shrinkage_hyper_g_stats
 from blockhyperg.special import (hyp2f1_log, hyp2f1_near1_scaled,
                                  log_series_2f1)
 

@@ -10,7 +10,9 @@ import warnings
 
 import mpmath
 import numpy as np
+import oracles
 import pytest
+from gquad import log_bf_hyper_g_gquad
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +22,7 @@ from blockhyperg.errors import DomainError
 from blockhyperg.hyperg import (FixedGPrior, HyperGPrior, InverseGammaParams,
                                 bf_fixed_g, bf_hyper_g, bf_ratio_hyper_g,
                                 hyper_g_scores, log_bf_fixed_g_stats,
-                                log_bf_hyper_g_gquad, log_bf_hyper_g_stats,
+                                log_bf_hyper_g_stats,
                                 log_bf_ratio_hyper_g,
                                 posterior_mean_hyper_g, shrinkage_hyper_g,
                                 shrinkage_hyper_g_stats,
@@ -281,7 +283,7 @@ class TestOneRouteTable:
         def refuse(*args, **kwargs):
             raise AssertionError("2F1 evaluated before the domain check")
 
-        monkeypatch.setattr(hyperg, "hyp2f1_log", refuse)
+        monkeypatch.setattr(hyperg, "block_integrals_gamma1d_batch", refuse)
         # a band entry, which needs a 2F1, next to one with n <= p+1
         with pytest.raises(DomainError):
             hyper_g_scores(3.1147, [26, 24], [23, 23], [1.0 - 1e-8, 0.5],
@@ -332,6 +334,51 @@ class TestBoundedBand:
             pytest.approx(want_bf, rel=1e-10)
         assert shrinkage_hyper_g_stats(a, n, p, 1.0 - omr2, omr2) == \
             pytest.approx(want_s, rel=1e-10)
+
+
+class TestBandAgainstOracle:
+    """What the closed form leaves near R^2 = 1, scored by the series or
+    by the k = 1 block integral, against `oracles.hyper_g`: the band
+    n <= p+a+1 over 1-R^2 from 1e-300 to 0.05, a near 2 and a = 4, p up
+    to 1000, closed-form underflow at n > p+a+1, and the finite log BF at
+    unit R^2."""
+
+    @staticmethod
+    def _check(a, n, p, omr2):
+        want_bf, want_s = oracles.hyper_g(a, n, p, omr2)
+        bf, s = hyper_g_scores(a, [n], [p], [1.0 - omr2], [omr2])
+        assert abs(bf[0] - want_bf) <= 1e-12 * max(1.0, abs(want_bf))
+        assert abs(s[0] - want_s) <= 1e-12 * want_s
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(a=st.one_of(st.floats(2.0 + 1e-6, 2.01), st.just(4.0),
+                       st.floats(2.01, 4.0)),
+           p=st.integers(1, 25), dn=st.integers(1, 4),
+           log10_omr2=st.floats(-300.0, math.log10(0.05)))
+    @example(a=2.5, p=1000, dn=2, log10_omr2=-300.0)
+    @example(a=3.1147, p=1000, dn=1, log10_omr2=-2.0)
+    @example(a=4.0, p=250, dn=4, log10_omr2=-8.0)
+    @example(a=2.0 + 1e-6, p=50, dn=1, log10_omr2=-300.0)
+    @example(a=4.0, p=3, dn=1, log10_omr2=-34.0)
+    @example(a=3.1147, p=23, dn=1, log10_omr2=-300.0)
+    def test_band(self, a, p, dn, log10_omr2):
+        # n = p+1+dn runs from p+2 to p+a+1
+        assume(dn <= a)
+        n = p + 1 + dn
+        self._check(a, n, p, 10.0 ** log10_omr2)
+        if n < a + p - 1.0:
+            # Gauss's summation at unit R^2
+            want = float(mpmath.log(mpmath.mpf(a - 2.0) / (a + p - n - 1)))
+            assert log_bf_hyper_g_stats(a, n, p, 1.0, 0.0) == pytest.approx(
+                want, rel=1e-14)
+
+    @pytest.mark.parametrize("a,n,p,omr2", [(3.0, 30010, 30000, 0.049),
+                                            (4.0, 40050, 40000, 0.045)])
+    def test_closed_form_underflow(self, a, n, p, omr2):
+        # n > p+a+1, where an incomplete-beta factor of the closed form
+        # is below the smallest normal double
+        assert np.isnan(hyperg._closed_form(a, n, p, omr2)[0])
+        self._check(a, n, p, omr2)
 
 
 class TestShrinkage:

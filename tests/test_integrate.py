@@ -83,6 +83,31 @@ class TestProductionRoute:
         assert res.t_mean[0] == pytest.approx(
             1.0 - (b + 1.0 - m) / (b + 2.0 - m), abs=1e-7)
 
+    def test_unit_r2_tail_past_overflow(self):
+        # a = 3.1147, p = 1, n = 3: J(0) = 1/(b + 1 - m) with a tail of
+        # rate b + 1 - m = 0.057 in log lam, which the bracket follows past
+        # x = 709.8, where lam = e^x overflows
+        a, p, n = 3.1147, 1, 3
+        b, m = 0.5 * (a + p) - 2.0, 0.5 * (n - 1)
+        res = block_integrals_gamma1d([b], [1.0], 0.0, m)
+        assert math.log(0.5 * (a - 2.0)) + res.log_i0 == pytest.approx(
+            math.log((a - 2.0) / (a + p - n - 1.0)), rel=1e-10)
+        assert res.t_mean[0] == pytest.approx(1.0 / (b + 2.0 - m),
+                                              rel=1e-10)
+        # two blocks, rate k(a-2)/2 + p/2 - m = 0.05
+        a, n, sizes, rho = 3.05, 5, (1, 1), (0.6, 0.4)
+        want_bf, want_s = oracles.block_k2(a, n, sizes, rho, 0.0)
+        res = block_integrals_gamma1d(
+            0.5 * (a + np.array(sizes, dtype=float)) - 2.0, np.array(rho),
+            0.0, 0.5 * (n - 1))
+        assert 2.0 * math.log(0.5 * (a - 2.0)) + res.log_i0 == \
+            pytest.approx(want_bf, rel=1e-10)
+        np.testing.assert_allclose(res.s_mean, want_s, rtol=1e-10)
+        # a tail of rate 0.03 needs 2000 units to fall by e^60, beyond the
+        # end walk's 80 steps of 20
+        with pytest.raises(NoConvergence):
+            block_integrals_gamma1d([0.03], [1.0], 0.0, 1.0)
+
     def test_import_leaves_scipy_stats_out(self):
         # scipy.stats is most of the import time and only the QMC
         # reference uses it
