@@ -100,9 +100,12 @@ def _check_partition(prior: BlockHyperGPrior, fit: FitSummary) -> None:
             f"fit blocks {fit.p_i}")
 
 
-def _divergence_threshold(a: float, k: int, p: int) -> float:
-    """The integral at sum R_i^2 = 1 is proper iff n < k(a-2) + p + 1."""
-    return k * (a - 2.0) + p + 1.0
+def _divergence_threshold(prior: BlockHyperGPrior, rho: np.ndarray) -> float:
+    """The integral at sum R_i^2 = 1 is proper iff n < k(a-2) + p + 1, over
+    the blocks with R_i^2 > 0 only: the others separate into 1/(b_i+1)."""
+    active = rho > 0.0
+    return (active.sum() * (prior.a - 2.0)
+            + np.asarray(prior.partition.sizes)[active].sum() + 1.0)
 
 
 def _limit_posterior(prior: BlockHyperGPrior, rho: np.ndarray,
@@ -145,14 +148,14 @@ def _block_posteriors(priors, fits, *, rtol: float = 1e-7,
         rho = np.clip(np.asarray(fit.r2_blocks, dtype=float), 0.0, 1.0)
         delta = max(float(fit.one_minus_r2), 0.0)
         if delta <= 0.0:
-            thresh = _divergence_threshold(prior.a, prior.k, fit.p)
+            thresh = _divergence_threshold(prior, rho)
             if fit.n > thresh:
                 out[j] = _limit_posterior(prior, rho)
                 continue
             if fit.n == thresh:
                 raise IntegralDiverges(
-                    "unit R^2 at the exact propriety boundary "
-                    f"n = k(a-2)+p+1 = {thresh}")
+                    "unit R^2 at the exact propriety boundary n = "
+                    f"k(a-2)+p+1 = {thresh} over the blocks with R_i^2 > 0")
         cases.append((prior.b_powers(), rho, delta, m))
         scored.append((j, rss, q, m))
     results = integrate.block_integrals_gamma1d_batch(cases, rtol=rtol)

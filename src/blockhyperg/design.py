@@ -1,9 +1,9 @@
 """Design construction: centering, block partitions, least squares, R^2 split.
 
 The intercept is handled by centering and is never a column of X, so p always
-counts slopes. All least-squares work goes through orthogonal factorizations
-(pivoted QR); normal equations are never formed, so the extreme column
-scalings produced by the drifting-sequence experiments stay tractable.
+counts slopes. Least squares factors the n rows once, by Householder QR, and
+then works on small triangles; normal equations are never formed, so the
+extreme column scalings of the drifting-sequence experiments stay tractable.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (DataError, DimensionMismatch, RankDeficient)
 
@@ -170,38 +169,74 @@ def center_design(X_raw: np.ndarray, y_raw: np.ndarray,
                           x_means=x_means)
 
 
-def _ls_solve(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least squares through pivoted QR; never forms X^T X. y may hold
-    several right-hand sides as columns."""
-    q, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    d = np.abs(np.diag(r))
-    if d.size and (d.min() == 0.0 or d.min() < RANK_RTOL * d.max()):
+def _xy_triangle(d: CenteredDesign) -> np.ndarray:
+    """R of [X | y] = Q [R | r_y]: the one factorization a fit or a search
+    makes."""
+    return np.linalg.qr(np.column_stack([d.X, d.y]), mode="r")
+
+
+def _rank_check_all(R: np.ndarray) -> None:
+    """`rank_check` on the triangle of X, once per fit or search.
+
+    R[:p, :p] has X's singular values, so this repeats the check
+    `center_design` makes, for a design built directly. The singular
+    values of any column subset of X, and of any residualized block of one,
+    lie between X's extremes, so it bounds every model of a search. The
+    per-model diagonal check in `_subset_triangles` misses a pair such as
+    [q1, 1e11 q1 + q2], whose triangle has a unit diagonal.
+    """
+    rank_check(R[:-1, :-1], "centered design")
+
+
+def _subset_triangles(R: np.ndarray, cols: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The triangles of [R[:, c] | r_y], one per row c of cols, with each
+    model's R^2 and 1-R^2.
+
+    A submodel S fits r_y on R[:, S] exactly as it fits y on X[:, S]. The
+    triangle of [R[:, S] | r_y] holds the model's own triangle R_S,
+    u = Q_S^T y in its last column above the diagonal, and the residual
+    norm on the diagonal below u. So fit^2 = |u|^2 and RSS is one squared
+    entry, never a difference, and nothing here depends on n. Raises
+    RankDeficient when a triangle's diagonal spans more than 1/RANK_RTOL.
+    """
+    p = R.shape[1] - 1
+    m, s = cols.shape
+    stack = np.concatenate(
+        [R[:, cols].transpose(1, 0, 2),
+         np.broadcast_to(R[:, p:], (m, p + 1, 1))], axis=2)
+    tri = np.linalg.qr(stack, mode="r")
+    diag = np.abs(np.diagonal(tri[:, :s, :s], axis1=1, axis2=2))
+    if np.any((diag.min(axis=1) == 0.0)
+              | (diag.min(axis=1) < RANK_RTOL * diag.max(axis=1))):
         raise RankDeficient("least-squares system rank-deficient")
-    coef_piv = scipy.linalg.solve_triangular(r, q.T @ y)
-    coef = np.empty_like(coef_piv)
-    coef[piv] = coef_piv
-    return coef
+    u = tri[:, :s, s]
+    fit2 = np.sum(u * u, axis=1)
+    rss = tri[:, s, s] ** 2
+    total = fit2 + rss
+    r2 = np.divide(fit2, total, out=np.zeros(m), where=total > 0)
+    omr2 = np.divide(rss, total, out=np.ones(m), where=total > 0)
+    return tri, r2, omr2
 
 
 def fit_least_squares(d: CenteredDesign) -> FitSummary:
-    """Joint LS fit with the projection-based per-block R^2 decomposition."""
-    beta = _ls_solve(d.X, d.y)
-    fitted = d.X @ beta
-    resid = d.y - fitted
-    rss = float(resid @ resid)
-    fit2 = float(fitted @ fitted)
+    """Joint LS fit with the projection-based per-block R^2 decomposition,
+    from the triangle of [X | y]: beta solves R[:p, :p] beta = r_y, and
+    block i's R^2 is that of the model holding block i alone."""
     n, p = d.n, d.p
+    R = _xy_triangle(d)
+    _rank_check_all(R)
+    # LU of a triangle pivots nowhere: this is back-substitution
+    beta = np.linalg.solve(R[:p, :p], R[:p, p])
+    fit2 = float(R[:p, p] @ R[:p, p])
+    rss = float(R[p, p] ** 2)
     dof = n - p - 1
     sigma2_hat = rss / dof if dof > 0 else 0.0
     r2 = fit2 / (fit2 + rss) if fit2 + rss > 0 else 0.0
     yty = float(d.y @ d.y)
     one_minus_r2 = rss / (fit2 + rss) if fit2 + rss > 0 else 1.0
-    r2_blocks = np.empty(d.partition.k)
-    for i in range(d.partition.k):
-        Xi = d.block(i)
-        bi = _ls_solve(Xi, d.y)
-        proj = Xi @ bi
-        r2_blocks[i] = float(proj @ proj) / yty if yty > 0 else 0.0
+    r2_blocks = np.array([_subset_triangles(R, np.array([cols]))[1][0]
+                          for cols in d.partition.blocks])
     return FitSummary(
         n=n, p=p, p_i=d.partition.sizes, alpha_hat=d.y_mean,
         beta_hat_ls=beta, sigma2_hat=sigma2_hat, r2=r2,
@@ -231,37 +266,28 @@ def block_orthogonalize(d: CenteredDesign,
 
     Returns the new design plus the block upper-triangular T with X = Q T,
     so fitted values are preserved and coefficients map as kappa = T beta.
+    With X = U R in block order, residualized block j is U_j R_jj: so
+    Q = U blockdiag(R_jj), T = blockdiag(R_jj)^-1 R, and block j's rank check
+    runs on R_jj, which has the residualized block's singular values.
     """
-    p = d.p
     part = d.partition
     # work in block-contiguous order, then scatter back
     order = [i for b in part.blocks for i in b]
-    T = np.eye(p)
-    Q = np.empty_like(d.X)
-    cols_done: list[int] = []
-    pos = 0
-    for bi in range(part.k):
-        idx = list(range(pos, pos + part.sizes[bi]))
-        Xb = d.X[:, [order[i] for i in idx]]
-        if cols_done:
-            Qprev = Q[:, cols_done]
-            C = _ls_solve(Qprev, Xb)
-            Qb = Xb - Qprev @ C
-            T[np.ix_(cols_done, idx)] = C
-        else:
-            Qb = Xb
-        rank_check(Qb, f"residualized block {bi + 1}")
-        Q[:, idx] = Qb
-        cols_done.extend(idx)
-        pos += part.sizes[bi]
+    U, R = np.linalg.qr(d.X[:, order])
+    Q = np.empty_like(U)
+    T = np.eye(d.p)
+    edges = np.cumsum((0,) + part.sizes)
+    for bi, (e0, e1) in enumerate(zip(edges[:-1], edges[1:])):
+        Rjj = R[e0:e1, e0:e1]
+        rank_check(Rjj, f"residualized block {bi + 1}")
+        Q[:, e0:e1] = U[:, e0:e1] @ Rjj
+        # LU of a triangle pivots nowhere: this is back-substitution
+        T[e0:e1, e1:] = np.linalg.solve(Rjj, R[e0:e1, e1:])
     # map back to original column order
     inv = np.argsort(order)
-    Q_out = Q[:, inv]
-    T_out = T[np.ix_(inv, inv)]
-    new_part = part
-    new_d = CenteredDesign(y=d.y, X=Q_out, partition=new_part,
+    new_d = CenteredDesign(y=d.y, X=Q[:, inv], partition=part,
                            y_mean=d.y_mean, x_means=d.x_means)
-    return new_d, T_out
+    return new_d, T[np.ix_(inv, inv)]
 
 
 def load_csv_design(path: str, response: str,

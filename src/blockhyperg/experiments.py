@@ -179,25 +179,26 @@ def run_els_experiment(spec: SequenceSpec) -> ExperimentResult:
     top = spec.scales[-1]
     bounds_ok, t1_ok, dist_ok = True, True, True
     seq = make_sequence(spec)
+    # the full model's R^2, then each block i >= 2's kappa_i, whose k=1
+    # shrinkage is the upper bracket on E[t_i | y]
+    stats = np.array([[(fit.r2, fit.one_minus_r2)]
+                      + [_kappa(fit, i) for i in range(1, part.k)]
+                      for _, _, fit in seq]).transpose(2, 1, 0)
+    sizes = np.array([[p]] + [[size] for size in part.sizes[1:]])
+    _, shrink = hyperg.hyper_g_scores(a, n, sizes, *stats)
     posts = blockprior._block_posteriors([prior] * len(seq),
                                          [fit for _, _, fit in seq])
-    for (c, d, fit), post in zip(seq, posts):
-        s = hyperg.shrinkage_hyper_g_stats(a, n, p, fit.r2,
-                                           fit.one_minus_r2)
-        res.add(c, "hyperg_rel_distance", 1.0 - s)
-        if c >= 1e6 and 1.0 - s >= 1e-3:
+    for (c, d, fit), post, s in zip(seq, posts, shrink.T.tolist()):
+        res.add(c, "hyperg_rel_distance", 1.0 - s[0])
+        if c >= 1e6 and 1.0 - s[0] >= 1e-3:
             dist_ok = False
         for i in range(part.k):
             res.add(c, f"block_t_mean_{i + 1}", post.t_mean[i],
                     post.error_estimate)
             if i >= 1:
-                # upper bracket on E[t_i | y]: the k=1 shrinkage at kappa_i
-                upper = hyperg.shrinkage_hyper_g_stats(
-                    a, n, part.sizes[i], *_kappa(fit, i))
-                res.add(c, f"block_t_upper_{i + 1}", upper)
+                res.add(c, f"block_t_upper_{i + 1}", s[i])
                 lo = 2.0 / (a + part.sizes[i]) - 1e-3
-                if not (lo <= post.t_mean[i] <= upper + 1e-9
-                        and upper < 1.0):
+                if not (lo <= post.t_mean[i] <= s[i] + 1e-9 and s[i] < 1.0):
                     bounds_ok = False
         if c == top and post.t_mean[0] < 0.999:
             t1_ok = False

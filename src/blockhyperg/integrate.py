@@ -223,7 +223,11 @@ def _fold_inactive(bpow_all: np.ndarray, active: np.ndarray,
 
 def _check_propriety(bpow: np.ndarray, rho: np.ndarray, delta: float,
                      m: float) -> None:
-    if delta <= 0.0 and m >= float((bpow + 1.0).sum()) and rho.sum() > 0:
+    """At delta = 0 the integral is proper iff m < sum(b_i + 1) over the
+    axes with rho_i > 0; the others separate (`_fold_inactive`)."""
+    active = rho > 0.0
+    if (delta <= 0.0 and active.any()
+            and m >= float((bpow[active] + 1.0).sum())):
         raise IntegralDiverges(
             "integral diverges at sum R_i^2 = 1 for this (n, a, p)")
 

@@ -1,8 +1,9 @@
 """Model enumeration, posterior model probabilities, and BMA prediction.
 
-A search scores all of its models from one QR factorization of [X | y]:
-all-subsets models with the single-block hyper-g closed forms, block-subsets
-models with the block prior. `model_inference` fits one model on its own,
+A search scores all of its models from the triangle of [X | y] that a fit
+also reads (`design._xy_triangle`, `design._subset_triangles`): all-subsets
+models with the single-block hyper-g closed forms, block-subsets models
+with the block prior. `model_inference` fits one model on its own,
 from its n rows; it is the per-model reference the tests hold both searches
 to.
 """
@@ -18,7 +19,7 @@ from scipy.special import logsumexp
 
 from . import blockprior, design, hyperg
 from .errors import (BudgetExceeded, DimensionMismatch, DomainError,
-                     EmptyModelList, RankDeficient)
+                     EmptyModelList)
 
 # the largest p whose CLI search, JSON included, ends within 60 s on a
 # 2-vCPU VM (README, "Command line")
@@ -240,68 +241,19 @@ def evaluate_model_space(d: design.CenteredDesign, mode: str,
     return posterior_model_probs(models, log_bfs), means, methods
 
 
-def _xy_triangle(d: design.CenteredDesign) -> np.ndarray:
-    """R of [X | y] = Q [R | r_y]: the one factorization a search makes."""
-    return np.linalg.qr(np.column_stack([d.X, d.y]), mode="r")
-
-
-def _rank_check_all(R: np.ndarray) -> None:
-    """`design.rank_check` on the triangle of X, once per search.
-
-    R[:p, :p] has X's singular values, so this repeats the check
-    `design.center_design` makes, for a design built directly. The
-    singular values of any column subset of X, and of any residualized
-    block of one, lie between X's extremes, so it bounds every model of the
-    search. The per-model diagonal check in `_subset_triangles` misses a
-    pair such as [q1, 1e11 q1 + q2], whose triangle has a unit diagonal.
-    """
-    design.rank_check(R[:-1, :-1], "centered design")
-
-
-def _subset_triangles(R: np.ndarray, cols: np.ndarray,
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The triangles of [R[:, c] | r_y], one per row c of cols, with each
-    model's R^2 and 1-R^2.
-
-    A submodel S fits r_y on R[:, S] exactly as it fits y on X[:, S]. The
-    triangle of [R[:, S] | r_y] holds the model's own triangle R_S,
-    u = Q_S^T y in its last column above the diagonal, and the residual
-    norm on the diagonal below u. So fit^2 = |u|^2 and RSS is one squared
-    entry, never a difference, and nothing here depends on n. Raises
-    RankDeficient when a triangle's diagonal spans more than 1/RANK_RTOL.
-    """
-    p = R.shape[1] - 1
-    m, s = cols.shape
-    stack = np.concatenate(
-        [R[:, cols].transpose(1, 0, 2),
-         np.broadcast_to(R[:, p:], (m, p + 1, 1))], axis=2)
-    tri = np.linalg.qr(stack, mode="r")
-    diag = np.abs(np.diagonal(tri[:, :s, :s], axis1=1, axis2=2))
-    if np.any((diag.min(axis=1) == 0.0)
-              | (diag.min(axis=1) < design.RANK_RTOL * diag.max(axis=1))):
-        raise RankDeficient("least-squares system rank-deficient")
-    u = tri[:, :s, s]
-    fit2 = np.sum(u * u, axis=1)
-    rss = tri[:, s, s] ** 2
-    total = fit2 + rss
-    r2 = np.divide(fit2, total, out=np.zeros(m), where=total > 0)
-    omr2 = np.divide(rss, total, out=np.ones(m), where=total > 0)
-    return tri, r2, omr2
-
-
 def _all_subsets_scores(d: design.CenteredDesign, gammas: np.ndarray,
                         a: float) -> tuple[np.ndarray, np.ndarray]:
     """log BFs and posterior coefficient means of single-block hyper-g
     models, one per row of the inclusion matrix `gammas`, all from one QR
-    factorization of [X | y] (`_subset_triangles`).
+    factorization of [X | y] (`design._subset_triangles`).
 
     Models of equal size are factored together in batches of _BATCH. The
     hyper-g scores then take _SCORE_CHUNK models of any sizes per call,
     which bounds the series' (models x terms) work arrays.
     """
     n, p = d.n, d.p
-    R = _xy_triangle(d)
-    _rank_check_all(R)
+    R = design._xy_triangle(d)
+    design._rank_check_all(R)
     gammas = np.asarray(gammas, dtype=bool)
     sizes = gammas.sum(axis=1)
     r2 = np.zeros(len(gammas))
@@ -312,7 +264,7 @@ def _all_subsets_scores(d: design.CenteredDesign, gammas: np.ndarray,
         for start in range(0, len(group), _BATCH):
             idx = group[start:start + _BATCH]
             cols = np.nonzero(gammas[idx])[1].reshape(len(idx), s)
-            tri, r2[idx], omr2[idx] = _subset_triangles(R, cols)
+            tri, r2[idx], omr2[idx] = design._subset_triangles(R, cols)
             # LU of a triangle pivots nowhere: this is back-substitution
             means[idx[:, None], cols] = np.linalg.solve(
                 tri[:, :s, :s], tri[:, :s, s, None])[..., 0]
@@ -333,14 +285,14 @@ def block_subsets_scores(d: design.CenteredDesign, specs: list[ModelSpec],
     of block hyper-g models on the induced partitions of `specs`, all from
     one QR factorization of [X | y].
 
-    Take model S's columns in block order. Its triangle (`_subset_triangles`)
-    gives R_S and u = Q_S^T y. `design.block_orthogonalize` residualizes
-    each block on the blocks before it, which leaves Q_S[:, block i] R_ii:
-    so the residualized block has the singular values of R_ii (its rank
-    check), block i's orthogonalized R^2 is |u_i|^2 / y'y, its LS
-    coefficients are kappa_i = R_ii^-1 u_i, and the posterior mean is
-    beta = R_S^-1 (t * u) with t_i repeated over block i. Nothing per model
-    depends on n.
+    Take model S's columns in block order. Its triangle
+    (`design._subset_triangles`) gives R_S and u = Q_S^T y.
+    `design.block_orthogonalize` residualizes each block on the blocks
+    before it, which leaves Q_S[:, block i] R_ii: so the residualized block
+    has the singular values of R_ii (its rank check), block i's
+    orthogonalized R^2 is |u_i|^2 / y'y, its LS coefficients are
+    kappa_i = R_ii^-1 u_i, and the posterior mean is beta = R_S^-1 (t * u)
+    with t_i repeated over block i. Nothing per model depends on n.
 
     The work is stacked over models: the rank checks are one SVD per block
     size, kappa and the posterior means are solves over the models of one
@@ -355,7 +307,7 @@ def block_subsets_scores(d: design.CenteredDesign, specs: list[ModelSpec],
     differ from these by up to about ORTHO_TOL (1e-8) relative.
     """
     n = d.n
-    R = _xy_triangle(d)
+    R = design._xy_triangle(d)
     yty = float(d.y @ d.y)
     # models that share their blocks' sizes share every slice below
     layouts: dict[tuple[int, ...], list[int]] = {}
@@ -375,7 +327,7 @@ def block_subsets_scores(d: design.CenteredDesign, specs: list[ModelSpec],
     for sizes, idx in layouts.items():
         idx = np.array(idx)
         s = sum(sizes)
-        tri, r2, omr2 = _subset_triangles(
+        tri, r2, omr2 = design._subset_triangles(
             R, np.array([orders[i] for i in idx]))
         groups.append((sizes, idx, tri, r2, omr2))
         edges = np.cumsum((0,) + sizes)
@@ -394,7 +346,7 @@ def block_subsets_scores(d: design.CenteredDesign, specs: list[ModelSpec],
         (_, _, b), block = min(faults, key=lambda f: f[0])
         design.rank_check(block, f"residualized block {b + 1}")
     # this one catches an ill-conditioned pair split across two blocks
-    _rank_check_all(R)
+    design._rank_check_all(R)
     log_bfs = np.zeros(len(specs))
     means = np.zeros((len(specs), d.p))
     methods = ["closed-form"] * len(specs)

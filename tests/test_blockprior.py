@@ -237,6 +237,21 @@ class TestDivergenceSentinels:
         with pytest.raises(IntegralDiverges):
             bf_block_hyper_g(prior, fit)
 
+    def test_inactive_block_does_not_count(self):
+        # block R^2 (1, 0) at unit R^2: the R^2 = 0 block separates into
+        # the finite 1/(b_2+1), so the boundary counts block 1 alone,
+        # n = (a-2) + 1 + 1 = 3, not the n = 5 of both blocks
+        prior = BlockHyperGPrior(3.0, BlockPartition.contiguous((1, 1)))
+        for n in (4, 5):
+            post = bf_block_hyper_g(prior, _summary(n, (1, 1), (1.0, 0.0),
+                                                    0.0))
+            assert post.method == "limit" and post.log_bf_null == math.inf
+            np.testing.assert_array_equal(post.t_mean, [1.0, 0.5])
+        at_boundary = dataclasses.replace(
+            _summary(4, (1, 1), (1.0, 0.0), 0.0), n=3)
+        with pytest.raises(IntegralDiverges, match="R_i\\^2 > 0"):
+            bf_block_hyper_g(prior, at_boundary)
+
 
 class TestAbovePropriety:
     """Near-unit R^2 one and two above the propriety boundary n = k(a-2)

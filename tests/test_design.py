@@ -2,6 +2,7 @@
 
 import csv
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -97,6 +98,40 @@ class TestFit:
         assert float(fit.r2_blocks.sum()) == pytest.approx(fit.r2,
                                                            abs=1e-12)
 
+    def test_near_saturated_badly_scaled_against_mpmath(self):
+        # 1-R^2 about 1e-13..1e-12, column scales 1e-3 to 1e3, correlated
+        # columns; the reference is a 50-digit fit of the same doubles.
+        # 1 - R^2 carries an error of order eps / sqrt(1 - R^2) from the
+        # rounding of y itself, whatever the factorization
+        eps = np.finfo(float).eps
+        with mpmath.workdps(50):
+            for seed in range(8):
+                rng = np.random.default_rng(seed)
+                scales = np.logspace(-3.0, 3.0, 5)
+                Z = rng.normal(size=(30, 5))
+                Z[:, 1:] += 0.5 * Z[:, :1]
+                X = Z * scales
+                y = X @ (rng.normal(size=5) / scales) + 1e-6 * rng.normal(
+                    size=30)
+                d = center_design(X, y, BlockPartition.contiguous((2, 1, 2)))
+                fit = fit_least_squares(d)
+                Xm, ym = mpmath.matrix(d.X.tolist()), mpmath.matrix(
+                    d.y.tolist())
+                yty = mpmath.fsum(v ** 2 for v in ym)
+                beta = mpmath.lu_solve(Xm.T * Xm, Xm.T * ym)
+                omr2 = mpmath.fsum(v ** 2 for v in ym - Xm * beta) / yty
+                assert 1e-14 < omr2 < 1e-11
+                assert abs(fit.one_minus_r2 - omr2) <= 4 * eps * omr2 / (
+                    mpmath.sqrt(omr2))
+                for j in range(5):
+                    assert abs(fit.beta_hat_ls[j] - beta[j]) <= 1e-12 * abs(
+                        beta[j])
+                for i, cols in enumerate(d.partition.blocks):
+                    Xi = mpmath.matrix(d.X[:, list(cols)].tolist())
+                    fitted = Xi * mpmath.lu_solve(Xi.T * Xi, Xi.T * ym)
+                    want = mpmath.fsum(v ** 2 for v in fitted) / yty
+                    assert abs(fit.r2_blocks[i] - want) <= 1e-13 * want
+
     def test_saturated_dof(self):
         rng = np.random.default_rng(9)
         d = center_design(rng.normal(size=(4, 3)), rng.normal(size=4),
@@ -115,6 +150,16 @@ class TestOrthogonalize:
         f0 = d.X @ fit_least_squares(d).beta_hat_ls
         f1 = q.X @ fit_least_squares(q).beta_hat_ls
         np.testing.assert_allclose(f0, f1, atol=1e-9)
+
+    def test_t_has_identity_diagonal_blocks(self):
+        for part in (BlockPartition.contiguous((2, 2, 1)),
+                     BlockPartition([(0, 3), (1, 2), (4,)])):
+            rng = np.random.default_rng(11)
+            d = center_design(rng.normal(size=(30, 5)), rng.normal(size=30),
+                              part)
+            _, T = block_orthogonalize(d)
+            for b in part.blocks:
+                assert np.array_equal(T[np.ix_(b, b)], np.eye(len(b)))
 
     def test_coefficients_map_through_t(self):
         d = _random_design(sizes=(3, 2), seed=8)

@@ -11,13 +11,14 @@ from blockhyperg.design import (BlockPartition, CenteredDesign,
 from blockhyperg.errors import (DomainError, PreconditionViolated,
                                 SimulationBudgetExceeded)
 from blockhyperg.experiments import (DEFAULT_SCALES, MAX_REPLICATES,
-                                     ExperimentResult, SequenceSpec,
+                                     ExperimentResult, SequenceSpec, _kappa,
                                      make_sequence, run_clp_experiment,
                                      run_els_experiment,
                                      run_info_consistency,
                                      run_prediction_consistency,
                                      run_selection_consistency,
                                      sigma2_limit_check, standard_sequence)
+from blockhyperg.hyperg import shrinkage_hyper_g_stats
 
 
 class TestSequence:
@@ -103,6 +104,25 @@ class TestSweeps:
         r2 = run_els_experiment(standard_sequence())
         assert r1.passed
         assert r1.rows == r2.rows
+
+    def test_els_scores_match_the_scalar_shrinkage(self):
+        # the sweep scores every scale and block in one hyper_g_scores
+        # call; each row matches its own shrinkage_hyper_g_stats call
+        for spec in (standard_sequence(),
+                     standard_sequence(n=40, sizes=(1, 2, 1), seed=3)):
+            res = run_els_experiment(spec)
+            n, p, sizes = spec.base.n, spec.base.p, spec.base.partition.sizes
+            for c, _, fit in make_sequence(spec):
+                rows = {r["statistic"]: r["value"] for r in res.rows
+                        if r["x"] == c}
+                s = shrinkage_hyper_g_stats(spec.a, n, p, fit.r2,
+                                            fit.one_minus_r2)
+                assert rows["hyperg_rel_distance"] == pytest.approx(
+                    1.0 - s, rel=1e-13)
+                for i in range(1, len(sizes)):
+                    assert rows[f"block_t_upper_{i + 1}"] == pytest.approx(
+                        shrinkage_hyper_g_stats(spec.a, n, sizes[i],
+                                                *_kappa(fit, i)), rel=1e-13)
 
     def test_clp_passes(self):
         res = run_clp_experiment(standard_sequence())

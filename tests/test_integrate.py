@@ -110,9 +110,11 @@ class TestProductionRoute:
 
     def test_import_leaves_scipy_stats_out(self):
         # scipy.stats is most of the import time and only the QMC
-        # reference uses it
+        # reference uses it; scipy.linalg is used nowhere, since least
+        # squares runs on numpy's QR
         code = ("import sys, blockhyperg; "
-                "sys.exit('scipy.stats' in sys.modules)")
+                "sys.exit('scipy.stats' in sys.modules "
+                "or 'scipy.linalg' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         assert subprocess.run([sys.executable, "-c", code],
                               env=env).returncode == 0
@@ -384,6 +386,17 @@ class TestEdgeCases:
             block_integrals_quadrature(bpow, rho, 0.0, 10.0)
         with pytest.raises(IntegralDiverges):
             block_integrals_gamma1d(bpow, rho, 0.0, 10.0)
+
+    def test_inactive_axis_does_not_count_toward_propriety(self):
+        # at delta = 0 an axis with rho = 0 separates into 1/(b+1), so the
+        # threshold is sum(b+1) over the active axes only: 1.5, not 3
+        bpow, rho = np.array([0.5, 0.5]), np.array([1.0, 0.0])
+        for route in (block_integrals_gamma1d, block_integrals_quadrature):
+            with pytest.raises(IntegralDiverges):
+                route(bpow, rho, 0.0, 1.6)
+        # int_0^1 s^(0.5 - 1.4) ds = 10, times 1/1.5 for the inactive axis
+        res = block_integrals_gamma1d(bpow, rho, 0.0, 1.4)
+        assert res.log_i0 == pytest.approx(math.log(10.0 / 1.5), rel=1e-10)
 
     def test_delta_zero_proper_case(self):
         # m below the propriety threshold: finite even at delta = 0. The
