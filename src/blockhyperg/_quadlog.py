@@ -14,12 +14,16 @@ refinement evaluates only the halves of the panels it splits.
 
 peak_bracket and adaptive_log_integral also take M independent integrals
 at once, through an integrand logf(x, idx) that is told each node's
-integral. What a batch shares is the integrand call: each scan move,
-end-walk step and refinement pass evaluates the nodes of every integral
-still open in one call. Everything else is per integral: its scan window,
-cut and ends, its panels, split rule and convergence test. So an integral
-gets the same nodes and values in a batch as alone, and the one-integral
-forms are batches of one.
+integral. A batch shares the integrand call: each scan move, end-walk step
+and refinement pass evaluates the nodes of every integral still open in
+one call. Its bookkeeping is array operations over the batch, a fixed
+number of numpy calls per scan move, walk step or pass whatever the batch
+size: the scans are one (M, 61, K) array, the walking ends one (W, 2, K)
+array, and the open integrals' panels one table, a row per integral. Each
+integral keeps its own scan window, cut and ends, panels, split rule and
+convergence test, and every reduction runs along its own row in the order
+the integral would meet alone. So an integral gets the same nodes and
+values in a batch as alone, and the one-integral forms are batches of one.
 """
 
 from __future__ import annotations
@@ -31,6 +35,17 @@ from .errors import NoConvergence
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _MAX_PANELS = 2048
 _FIRST_PANELS = 4  # per interval between the ends and the seed points
+_FIRST = np.arange(_FIRST_PANELS + 1.0)
+_SCAN = np.arange(61.0)  # the bracket's scan points, one unit apart
+_SCAN_I = np.arange(61)
+# the two sides of a scan, low and high, for the bracket's ends: a point i
+# lies on a side where _SIDE (i - bound) <= _INSIDE, _KEY ranks the side's
+# points from its edge inwards, and _EDGE + _SIDE key maps a key back to i
+_SIDE = np.array([[1], [-1]])
+_INSIDE = np.array([[-1], [0]])
+_KEY = np.array([_SCAN_I, 60 - _SCAN_I])
+_EDGE = np.array([0, 60])
+_WALK = np.array([-20.0, 20.0])  # an end-walk step at each end
 
 # Gauss-Kronrod 10/21 on [-1, 1], the non-negative nodes from 1 down to 0
 # (QUADPACK qk21); the odd entries are the 10-point Gauss nodes
@@ -83,88 +98,153 @@ def _kronrod_panels(logf, a: np.ndarray, b: np.ndarray, idx: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """log Kronrod and log Gauss integrals over the panels [a_j, b_j], from
     one call of logf on their 21 nodes each, idx naming each node's
-    integral: two arrays of shape (npanels, K)."""
+    integral: two arrays of shape (npanels, K). Call under
+    np.errstate(divide="ignore"): a panel where the integrand underflows
+    gives -inf."""
     half = 0.5 * (b - a)
     nodes = (0.5 * (a + b))[:, None] + half[:, None] * KRONROD_NODES
     vals = logf(nodes.ravel(), idx)
     vals = vals.reshape(len(a), len(KRONROD_NODES), -1)
-    top = np.max(vals, axis=1)
+    top = vals.max(axis=1)
     top = np.where(np.isfinite(top), top, 0.0)
     scaled = np.exp(vals - top[:, None, :])
     shift = top + np.log(half)[:, None]
-    with np.errstate(divide="ignore"):
-        kron = np.log(np.einsum("pnc,n->pc", scaled, KRONROD_WEIGHTS))
-        gauss = np.log(np.einsum("pnc,n->pc", scaled[:, 1::2],
-                                 GAUSS_WEIGHTS))
+    kron = np.log(np.einsum("pnc,n->pc", scaled, KRONROD_WEIGHTS))
+    gauss = np.log(np.einsum("pnc,n->pc", scaled[:, 1::2], GAUSS_WEIGHTS))
     return kron + shift, gauss + shift
 
 
-def _integrals(logf, lo, hi, rtol: float, seed_points) -> list:
-    """The batched form of adaptive_log_integral: a (log integrals, error
-    estimates) pair of length-K arrays per integral."""
-    new = []  # per integral still open: the panels to evaluate next
-    for j in range(len(lo)):
-        if not hi[j] > lo[j]:
-            raise ValueError("empty interval")
-        pts = [lo[j], hi[j]]
-        for s in seed_points:
-            s = s[j] if np.ndim(s) else s
-            if lo[j] < s < hi[j]:
-                pts.append(s)
-        pts = np.unique(np.asarray(pts, dtype=float))
-        edges = np.concatenate(
-            [np.linspace(pts[i], pts[i + 1], _FIRST_PANELS + 1)[:-1]
-             for i in range(len(pts) - 1)] + [pts[-1:]])
-        new.append((j, edges[:-1], edges[1:]))
-    kept = {}  # per integral still open: the panels it keeps, with values
-    out = [None] * len(lo)
-    for n_pass in range(61):
-        # the new panels of every open integral, from one call of logf
-        sizes = [len(a) for _, a, _ in new]
-        kron, gauss = _kronrod_panels(
-            logf, np.concatenate([a for _, a, _ in new]),
-            np.concatenate([b for _, _, b in new]),
-            np.array([j for j, _, _ in new]).repeat(
-                [len(KRONROD_NODES) * n for n in sizes]))
-        start = 0
-        for (j, a, b), size in zip(new, sizes):
-            k, g = kron[start:start + size], gauss[start:start + size]
-            start += size
-            if j in kept:
-                old_a, old_b, old_k, old_g = kept[j]
-                a, b = np.concatenate([old_a, a]), np.concatenate([old_b, b])
-                k, g = np.concatenate([old_k, k]), np.concatenate([old_g, g])
-            kept[j] = a, b, k, g
-        if n_pass == 60:
-            break
-        new = []
-        for j, (a, b, k, g) in list(kept.items()):
-            total = logsumexp(k, axis=0)
-            err_p = np.abs(np.exp(k - total) - np.exp(g - total))
-            err = err_p.sum(axis=0)
-            if np.all(err <= rtol):
-                out[j] = total, err
-                del kept[j]
-                continue
+def _table(n: int, width: int, k: int) -> tuple[np.ndarray, ...]:
+    """An empty panel table: edges a and b of shape (n, width), and the
+    Kronrod and Gauss values of shape (n, width, k), all -inf."""
+    vals = np.full((n, width, k), -np.inf)
+    return np.empty((n, width)), np.empty((n, width)), vals, vals.copy()
+
+
+def _integrals(logf, lo, hi, rtol: float, seed_points,
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The batched form of adaptive_log_integral: (M, K) arrays of log
+    integrals and error estimates.
+
+    The open integrals' panels are one table: a row per integral, a slot
+    per panel, and -inf values after a row's last panel, which add exact
+    zeros to its sums. A row holds its kept panels in their former order,
+    then the left and then the right halves of the panels it split: the
+    order of one integral's panel lists alone, so each sum along a row
+    meets the same terms in the same order.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if not (hi > lo).all():
+        raise ValueError("empty interval")
+    n = len(lo)
+    # the first pass: _FIRST_PANELS equal panels in each interval between
+    # the ends and the seed points strictly inside them; a seed point
+    # elsewhere is moved onto lo, where it bounds an empty interval
+    pts = [lo]
+    for s in seed_points:
+        s = np.asarray(s, dtype=float)
+        pts.append(np.where((lo < s) & (s < hi), s, lo))
+    pts.append(hi)
+    pts = np.array(pts)
+    pts.sort(axis=0)
+    start, stop = pts[:-1].T, pts[1:].T
+    # np.linspace(start, stop, _FIRST_PANELS + 1), interval by interval
+    edges = (_FIRST * ((stop - start) / _FIRST_PANELS)[..., None]
+             + start[..., None])
+    edges[..., -1] = stop
+    live = stop > start
+    if live.all():  # the same panel count in every row
+        new_a = edges[..., :-1].reshape(n, -1)
+        new_b = edges[..., 1:].reshape(n, -1)
+        n_alive = np.full(n, new_a.shape[1])
+        new_row = new_slot = None
+    else:
+        new_a = edges[..., :-1][live].ravel()
+        new_b = edges[..., 1:][live].ravel()
+        n_alive = _FIRST_PANELS * live.sum(axis=1)
+        new_row = np.repeat(np.arange(n), n_alive)
+        new_slot = np.arange(len(new_a)) - np.repeat(np.cumsum(n_alive)
+                                                     - n_alive, n_alive)
+    rows = np.arange(n)  # the integral of each table row
+    values = errors = tab_k = None
+    with np.errstate(divide="ignore"):
+        for n_pass in range(61):
+            # the new panels of every open integral, from one call of logf
+            owner = (rows.repeat(new_a.shape[1]) if new_row is None
+                     else rows[new_row])
+            kron, gauss = _kronrod_panels(logf, new_a.ravel(), new_b.ravel(),
+                                          owner.repeat(len(KRONROD_NODES)))
+            if new_slot is None:
+                tab_a, tab_b = new_a, new_b
+                tab_k = kron.reshape(n, -1, kron.shape[1])
+                tab_g = gauss.reshape(tab_k.shape)
+            else:
+                if tab_k is None:
+                    tab_a, tab_b, tab_k, tab_g = _table(
+                        n, int(n_alive.max()), kron.shape[1])
+                tab_a[new_row, new_slot] = new_a
+                tab_b[new_row, new_slot] = new_b
+                tab_k[new_row, new_slot] = kron
+                tab_g[new_row, new_slot] = gauss
+            if n_pass == 60:
+                break
+            top = tab_k.max(axis=1, keepdims=True)
+            top = np.where(np.isfinite(top), top, 0.0)
+            total = np.log(np.exp(tab_k - top).sum(axis=1, keepdims=True))
+            total += top
+            err_p = np.abs(np.exp(tab_k - total) - np.exp(tab_g - total))
+            err = err_p.sum(axis=1)
+            done = (err <= rtol).all(axis=1)
+            if done.any():
+                if values is None:
+                    if done.all():  # rows is every integral, in order
+                        return total[:, 0], err
+                    values, errors = np.empty(err.shape), np.empty(err.shape)
+                values[rows[done]] = total[done, 0]
+                errors[rows[done]] = err[done]
+                if done.all():
+                    return values, errors
+                keep = ~done
+                rows, n_alive, err, err_p = (rows[keep], n_alive[keep],
+                                             err[keep], err_p[keep])
+                tab_a, tab_b, tab_k, tab_g = (tab_a[keep], tab_b[keep],
+                                              tab_k[keep], tab_g[keep])
             # a panel with a NaN error is never split, and only NaN leaves
             # nothing to split while the sum is above rtol
-            split = err_p.max(axis=1) > rtol / len(a)
-            n_split = np.count_nonzero(split)
-            if n_split == 0 or len(a) + n_split > _MAX_PANELS:
+            split = err_p.max(axis=2) > (rtol / n_alive)[:, None]
+            n_split = split.sum(axis=1)
+            bad = (n_split == 0) | (n_alive + n_split > _MAX_PANELS)
+            if bad.any():
+                j = int(bad.argmax())
                 raise NoConvergence(
                     f"1-D quadrature did not reach rtol={rtol:g} "
-                    f"(err={np.max(err):g}, panels={len(a)})")
-            mid = 0.5 * (a[split] + b[split])
-            new.append((j, np.concatenate([a[split], mid]),
-                        np.concatenate([mid, b[split]])))
-            keep = ~split
-            kept[j] = a[keep], b[keep], k[keep], g[keep]
-            last = err, len(a) + n_split
-        if not new:
-            return out
+                    f"(err={err[j].max():g}, panels={n_alive[j]})")
+            last = err
+            # split ranks along each row: a kept panel moves left by the
+            # splits before it, and a split one's halves go to the end
+            ranks = split.cumsum(axis=1)
+            kept = ~split & (np.arange(split.shape[1]) < n_alive[:, None])
+            r_k, c_k = np.nonzero(kept)
+            r_s, c_s = np.nonzero(split)
+            n_keep = n_alive - n_split
+            n_alive = n_alive + n_split
+            moved = _table(len(rows), int(n_alive.max()), tab_k.shape[2])
+            to_k = c_k - ranks[r_k, c_k]
+            for new, old in zip(moved, (tab_a, tab_b, tab_k, tab_g)):
+                new[r_k, to_k] = old[r_k, c_k]
+            a_s, b_s = tab_a[r_s, c_s], tab_b[r_s, c_s]
+            tab_a, tab_b, tab_k, tab_g = moved
+            mid = 0.5 * (a_s + b_s)
+            slot_l = n_keep[r_s] + ranks[r_s, c_s] - 1
+            new_a = np.concatenate([a_s, mid])
+            new_b = np.concatenate([mid, b_s])
+            new_row = np.concatenate([r_s, r_s])
+            new_slot = np.concatenate([slot_l, slot_l + n_split[r_s]])
+    # the first integral still open names its own error and panel count
     raise NoConvergence(
         f"1-D quadrature did not reach rtol={rtol:g} "
-        f"(err={np.max(last[0]):g}, panels={last[1]})")
+        f"(err={last[0].max():g}, panels={n_alive[0]})")
 
 
 def adaptive_log_integral(
@@ -199,18 +279,17 @@ def adaptive_log_integral(
     the halves, and keeps every other panel as it is.
     """
     if np.ndim(lo) > 0:
-        out = _integrals(logf, lo, hi, rtol, seed_points)
-        return (np.array([v for v, _ in out]), np.array([e for _, e in out]))
+        return _integrals(logf, lo, hi, rtol, seed_points)
     shape = []
 
     def one(x, _):
         vals = logf(x)
         shape[:] = vals.shape[1:]
-        return vals
-    val, err = _integrals(one, [lo], [hi], rtol, seed_points)[0]
+        return vals.reshape(len(x), -1)
+    val, err = _integrals(one, [lo], [hi], rtol, seed_points)
     if shape:
-        return val, err
-    return float(val[0]), float(err[0])
+        return val[0], err[0]
+    return float(val[0, 0]), float(err[0, 0])
 
 
 def peak_bracket(logf, x_c):
@@ -238,68 +317,74 @@ def peak_bracket(logf, x_c):
     e^(-0.04 |x|)) do not reach a negligible end.
     """
     if np.ndim(x_c) > 0:
-        return tuple(np.array(v) for v in zip(*_brackets(logf, list(x_c))))
-    return _brackets(lambda x, _: logf(x), [x_c])[0]
+        return _brackets(logf, x_c)
+    lo, hi, peak = _brackets(lambda x, _: logf(x), [x_c])
+    return float(lo[0]), float(hi[0]), float(peak[0])
 
 
-def _brackets(logf, x_c: list) -> list[tuple[float, float, float]]:
-    """The batched form of peak_bracket: (lo, hi, peak) per integral."""
-    scans = [None] * len(x_c)
-    moving = list(range(len(x_c)))
+def _brackets(logf, x_c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batched form of peak_bracket: arrays of lo, hi and the peak.
+
+    Each scan move evaluates the 61 points of every integral still moving,
+    and each end-walk step both ends of every integral still walking, as
+    one (integrals, points, K) array of values."""
+    x_c = np.array(x_c, dtype=float)
+    n = len(x_c)
+    moving = np.arange(n)
+    grids = None
     for _ in range(40):
-        grids = [np.linspace(x_c[j] - 30.0, x_c[j] + 30.0, 61)
-                 for j in moving]
-        vals = logf(np.concatenate(grids), np.array(moving).repeat(61))
-        vals = vals.reshape(len(moving), 61, -1)
-        still = []
-        for j, grid, v in zip(moving, grids, vals):
-            i_pk = np.argmax(np.where(np.isnan(v), -np.inf, v), axis=0)
-            if 0 < i_pk[0] < 60:
-                scans[j] = grid, v, i_pk
-            else:
-                x_c[j] += 30.0 if i_pk[0] == 60 else -30.0
-                still.append(j)
-        moving = still
-        if not moving:
+        # np.linspace(x_c - 30, x_c + 30, 61) for each integral moving
+        lo, hi = x_c[moving] - 30.0, x_c[moving] + 30.0
+        grid = _SCAN * ((hi - lo) / 60.0)[:, None] + lo[:, None]
+        grid[:, -1] = hi
+        vals = logf(grid.ravel(), moving.repeat(61)).reshape(
+            len(moving), 61, -1)
+        i_pk = np.where(np.isnan(vals), -np.inf, vals).argmax(axis=1)
+        found = i_pk[:, 0] % 60 != 0  # column 0 peaks inside the window
+        if grids is None:
+            if found.all():
+                grids, scans, peaks = grid, vals, i_pk
+                break
+            grids, scans = np.empty(grid.shape), np.empty(vals.shape)
+            peaks = np.empty(i_pk.shape, dtype=np.intp)
+        on = moving[found]
+        grids[on], scans[on], peaks[on] = grid[found], vals[found], i_pk[found]
+        up = i_pk[~found, 0] == 60
+        moving = moving[~found]
+        if not moving.size:
             break
+        x_c[moving] += np.where(up, 30.0, -30.0)
     else:
         raise NoConvergence(
             f"integrand still rising at x = {x_c[moving[0]]:g}")
 
-    ends, cuts, done = [], [], []
-    for j, (grid, v, i_pk) in enumerate(scans):
-        cut = v[i_pk, np.arange(v.shape[1])] - 60.0
-        # the scan's last negligible points on each side, where it has
-        # them; an end that falls back to the scan's edge is not
-        # negligible there
-        neg = np.all(v < cut, axis=1)
-        i_lo, i_hi = int(i_pk.min()), int(i_pk.max())
-        low = np.flatnonzero(neg[:i_lo])
-        high = np.flatnonzero(neg[i_hi:])
-        ends.append([float(grid[low[-1]]) if low.size else x_c[j] - 30.0,
-                     float(grid[i_hi + high[0]]) if high.size
-                     else x_c[j] + 30.0, float(grid[i_pk[0]])])
-        cuts.append(cut)
-        done.append([low.size > 0, high.size > 0])
-    walking = [j for j in range(len(x_c)) if not all(done[j])]
-    at = np.array(walking, dtype=np.intp).repeat(2)
+    every = np.arange(n)[:, None]
+    cut = scans[every, peaks, np.arange(scans.shape[2])] - 60.0
+    # each side's scan point nearest the peaks where every column is below
+    # its cut: the last one below every column's peak and the first one
+    # above them all. An end without one falls back to the scan's edge,
+    # where it is not negligible, and walks.
+    neg = (scans < cut[:, None, :]).all(axis=2)[:, None, :]
+    bound = np.array([peaks.min(axis=1), peaks.max(axis=1)]).T[..., None]
+    side = neg & (_SIDE * (_SCAN_I - bound) <= _INSIDE)
+    key = np.where(side, _KEY, -1).max(axis=2)
+    done = key >= 0
+    ends = grids[every, _EDGE + _SIDE[..., 0] * np.maximum(key, 0)]
+    peak = grids[every[:, 0], peaks[:, 0]]
+    walking = np.flatnonzero(~done.all(axis=1))
     for _ in range(80):
-        if not walking:
+        if not walking.size:
             break
-        for j in walking:
-            if not done[j][0]:
-                ends[j][0] -= 20.0
-            if not done[j][1]:
-                ends[j][1] += 20.0
-        vals = logf(np.array([ends[j][i] for j in walking for i in (0, 1)]),
-                    at).reshape(len(walking), 2, -1)
-        for j, v in zip(walking, vals):
-            done[j] = np.all(v < cuts[j], axis=1).tolist()
-        if any(all(done[j]) for j in walking):
-            walking = [j for j in walking if not all(done[j])]
-            at = np.array(walking, dtype=np.intp).repeat(2)
-    if walking:
-        lo, hi, _ = ends[walking[0]]
+        e = ends[walking]
+        e = np.where(done[walking], e, e + _WALK)
+        ends[walking] = e
+        vals = logf(e.ravel(), walking.repeat(2)).reshape(len(walking), 2,
+                                                          -1)
+        step = np.all(vals < cut[walking][:, None, :], axis=2)
+        done[walking] = step
+        walking = walking[~step.all(axis=1)]
+    if walking.size:
+        lo, hi = ends[walking[0]]
         raise NoConvergence(
             f"integrand still above its peak - 60 at x in [{lo:g}, {hi:g}]")
-    return [tuple(e) for e in ends]
+    return ends[:, 0], ends[:, 1], peak

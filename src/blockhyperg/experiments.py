@@ -342,17 +342,22 @@ def run_selection_consistency(n_schedule=(100, 400, 1600),
     medians: dict[str, list[float]] = {k: [] for k in SELECTION_CASES
                                        if k != "truth"}
     iqrs: dict[str, list[float]] = {k: [] for k in medians}
-    for n in n_schedule:
+
+    def draws():
+        for n in n_schedule:
+            for rep in range(replicates):
+                rng = np.random.default_rng([seed, rep, n])
+                X = rng.normal(size=(n, sum(SELECTION_POOL)))
+                y = 2.0 + X @ SELECTION_BETA + rng.normal(size=n)
+                yield design.center_design(X, y, pool)
+    # every replicate of every n in one call; medians over replicates only
+    # need ~1e-3, and 1e-4 keeps the integrals cheap
+    scores = models.block_subsets_scores(draws(), specs, a, rtol=1e-4)
+    for i_n, n in enumerate(n_schedule):
         samples: dict[str, list[float]] = {k: [] for k in medians}
         for rep in range(replicates):
-            rng = np.random.default_rng([seed, rep, n])
-            X = rng.normal(size=(n, sum(SELECTION_POOL)))
-            y = 2.0 + X @ SELECTION_BETA + rng.normal(size=n)
-            d = design.center_design(X, y, pool)
-            # medians over replicates only need ~1e-3; 1e-4 keeps each
-            # call cheap
-            lb = dict(zip(SELECTION_CASES, models.block_subsets_scores(
-                d, specs, a, rtol=1e-4)[0]))
+            log_bfs = scores[i_n * replicates + rep][0]
+            lb = dict(zip(SELECTION_CASES, log_bfs))
             for name in samples:
                 samples[name].append(lb[name] - lb["truth"])
         for name, vals in samples.items():
@@ -387,20 +392,30 @@ def run_prediction_consistency(n_schedule=(100, 400, 1600),
     rng0 = np.random.default_rng(seed)
     x_star = rng0.normal(size=len(PREDICTION_BETA))
     truth_val = PREDICTION_ALPHA + float(x_star @ PREDICTION_BETA)
+    partition = design.BlockPartition.contiguous(PREDICTION_POOL)
+    specs = models.enumerate_models(partition, "block-subsets")
+    centres = []  # each design's (x_means, y_mean), for its prediction
+
+    def draws():
+        for n in n_schedule:
+            for rep in range(replicates):
+                rng = np.random.default_rng([seed, rep, n, 7])
+                X = rng.normal(size=(n, len(PREDICTION_BETA)))
+                y = (PREDICTION_ALPHA + X @ PREDICTION_BETA
+                     + noise * rng.normal(size=n))
+                d = design.center_design(X, y, partition)
+                centres.append((d.x_means, d.y_mean))
+                yield d
+    # every replicate of every n in one call
+    scores = models.block_subsets_scores(draws(), specs, a, rtol=1e-4)
     meds = []
-    for n in n_schedule:
+    for i_n, n in enumerate(n_schedule):
         errs = []
         for rep in range(replicates):
-            rng = np.random.default_rng([seed, rep, n, 7])
-            X = rng.normal(size=(n, len(PREDICTION_BETA)))
-            y = (PREDICTION_ALPHA + X @ PREDICTION_BETA
-                 + noise * rng.normal(size=n))
-            d = design.center_design(
-                X, y, design.BlockPartition.contiguous(PREDICTION_POOL))
-            posterior, means, _ = models.evaluate_model_space(
-                d, "block-subsets", a=a, rtol=1e-4)
-            pred = models.bma_predict(x_star, posterior, means, d.x_means,
-                                      d.y_mean)
+            j = i_n * replicates + rep
+            log_bfs, means, _ = scores[j]
+            posterior = models.posterior_model_probs(specs, log_bfs)
+            pred = models.bma_predict(x_star, posterior, means, *centres[j])
             errs.append(abs(pred - truth_val))
         med = float(np.median(errs))
         meds.append(med)

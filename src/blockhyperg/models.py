@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
-
 from . import blockprior, design, hyperg
+from ._quadlog import logsumexp
 from .errors import (BudgetExceeded, DimensionMismatch, DomainError,
                      EmptyModelList)
 
@@ -65,7 +64,7 @@ class ModelSpec:
     def is_null(self) -> bool:
         return not any(self.gamma)
 
-    @property
+    @functools.cached_property
     def included(self) -> tuple[int, ...]:
         return tuple(i for i, g in enumerate(self.gamma) if g)
 
@@ -236,8 +235,8 @@ def evaluate_model_space(d: design.CenteredDesign, mode: str,
         log_bfs, means = _all_subsets_scores(d, bits, a)
         methods = ["closed-form"] * len(models)
     else:
-        log_bfs, means, methods = block_subsets_scores(d, models, a,
-                                                       rtol=rtol)
+        (log_bfs, means, methods), = block_subsets_scores([d], models, a,
+                                                          rtol=rtol)
     return posterior_model_probs(models, log_bfs), means, methods
 
 
@@ -278,12 +277,13 @@ def _all_subsets_scores(d: design.CenteredDesign, gammas: np.ndarray,
     return log_bfs, means
 
 
-def block_subsets_scores(d: design.CenteredDesign, specs: list[ModelSpec],
-                         a: float = 3.0, *, rtol: float = 1e-7,
-                         ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def block_subsets_scores(designs, specs: list[ModelSpec], a: float = 3.0,
+                         *, rtol: float = 1e-7,
+                         ) -> list[tuple[np.ndarray, np.ndarray, list[str]]]:
     """log BFs, full-length posterior coefficient means and method labels
-    of block hyper-g models on the induced partitions of `specs`, all from
-    one QR factorization of [X | y].
+    of block hyper-g models on the induced partitions of `specs`, one
+    triple per design of `designs`: designs that share p and the
+    partition, of any n, read once in order.
 
     Take model S's columns in block order. Its triangle
     (`design._subset_triangles`) gives R_S and u = Q_S^T y.
@@ -294,99 +294,118 @@ def block_subsets_scores(d: design.CenteredDesign, specs: list[ModelSpec],
     kappa_i = R_ii^-1 u_i, and the posterior mean is beta = R_S^-1 (t * u)
     with t_i repeated over block i. Nothing per model depends on n.
 
-    The work is stacked over models: the rank checks are one SVD per block
-    size, kappa and the posterior means are solves over the models of one
-    block layout, and every _SCORE_CHUNK models share one batched block
-    posterior (`blockprior._block_posteriors`), whose integrals share
-    their integrand calls. What stays per model is each integral's bracket,
-    panels and convergence, so a model scores as it does alone.
+    Each design is factored once, by one QR of [X | y]; only its triangle,
+    y'y and means are kept. The rest is stacked over designs and models:
+    one batched QR per block layout for the models' triangles, one SVD per
+    block size for the rank checks, and solves over the models of one
+    layout. Every _SCORE_CHUNK models of all the designs share one batched
+    block posterior (`blockprior._block_posteriors`), whose integrals
+    share their integrand calls; each integral keeps its own bracket,
+    panels and convergence, so a model scores as it does alone. A model
+    whose checks fail raises for the call, as the first check a design
+    fails would raise for it alone.
 
     `model_inference` agrees to rounding, except on a design that passes
     `design.check_block_orthogonality` without being exactly orthogonal: it
     then skips orthogonalization and takes raw block projections, which
     differ from these by up to about ORTHO_TOL (1e-8) relative.
     """
-    n = d.n
-    R = design._xy_triangle(d)
-    yty = float(d.y @ d.y)
+    tris, yty, ns, y_means = [], [], [], []
+    for d in designs:
+        tris.append(design._xy_triangle(d))
+        yty.append(float(d.y @ d.y))
+        ns.append(d.n)
+        y_means.append(d.y_mean)
+    R = np.stack(tris)
+    n_designs, p = len(tris), R.shape[-1] - 1
     # models that share their blocks' sizes share every slice below
     layouts: dict[tuple[int, ...], list[int]] = {}
     orders = []  # each model's columns of X, in block order
+    priors: list[blockprior.BlockHyperGPrior | None] = []
     for i, spec in enumerate(specs):
         if spec.is_null:
             orders.append([])
+            priors.append(None)
             continue
         part = spec.induced_partition
         orders.append([spec.included[c] for b in part.blocks for c in b])
         layouts.setdefault(part.sizes, []).append(i)
-    # per layout: its models and their triangles; per block size: the
-    # residualized blocks, keyed (size, model, block) in the order a
-    # one-model-at-a-time check meets them
+        priors.append(blockprior.BlockHyperGPrior(a, part))
+    # per layout: its models and their triangles, (designs, models, ...);
+    # per block size: the residualized blocks, one stack per layout block
     groups = []
     blocks: dict[int, list] = {}
     for sizes, idx in layouts.items():
         idx = np.array(idx)
         s = sum(sizes)
-        tri, r2, omr2 = design._subset_triangles(
-            R, np.array([orders[i] for i in idx]))
-        groups.append((sizes, idx, tri, r2, omr2))
+        cols = np.array([orders[i] for i in idx])
+        tri, r2, omr2 = design._subset_triangles(R, cols)
+        groups.append((sizes, idx, cols, tri, r2, omr2))
         edges = np.cumsum((0,) + sizes)
         for b, (e0, e1) in enumerate(zip(edges[:-1], edges[1:])):
             blocks.setdefault(e1 - e0, []).append(
-                (tri[:, e0:e1, e0:e1], [(s, i, b) for i in idx]))
-    # the residualized blocks' rank checks, each naming the block at fault
+                (tri[..., e0:e1, e0:e1], [(s, i, b) for i in idx]))
+    # the residualized blocks' rank checks: the block named is the first
+    # design's at fault, and in it the first a one-model-at-a-time check
+    # meets, keyed (size, model, block)
     faults = []
     for parts in blocks.values():
-        stack = np.concatenate([blk for blk, _ in parts])
+        stack = np.concatenate([blk for blk, _ in parts], axis=1)
         keys = [key for _, part_keys in parts for key in part_keys]
-        sv = np.linalg.svd(stack, compute_uv=False)
-        bad = (sv[:, 0] == 0.0) | (sv[:, -1] < design.RANK_RTOL * sv[:, 0])
-        faults += [(keys[j], stack[j]) for j in np.flatnonzero(bad)]
+        bad = design._rank_faults(
+            stack.reshape((-1,) + stack.shape[2:])).reshape(stack.shape[:2])
+        faults += [((dd,) + keys[j], stack[dd, j])
+                   for dd, j in zip(*np.nonzero(bad))]
     if faults:
-        (_, _, b), block = min(faults, key=lambda f: f[0])
+        (*_, b), block = min(faults, key=lambda f: f[0])
         design.rank_check(block, f"residualized block {b + 1}")
     # this one catches an ill-conditioned pair split across two blocks
     design._rank_check_all(R)
-    log_bfs = np.zeros(len(specs))
-    means = np.zeros((len(specs), d.p))
-    methods = ["closed-form"] * len(specs)
-    t_means: list[np.ndarray | None] = [None] * len(specs)
-    priors, fits, scored = [], [], []
-    for sizes, idx, tri, r2, omr2 in groups:
+    n = np.array(ns)
+    yty_col = np.array(yty)[:, None, None]
+    log_bfs = np.zeros((n_designs, len(specs)))
+    means = np.zeros((n_designs, len(specs), p))
+    methods = [["closed-form"] * len(specs) for _ in range(n_designs)]
+    t_means = {}
+    post_priors, fits, scored = [], [], []
+    for sizes, idx, _, tri, r2, omr2 in groups:
         s = sum(sizes)
-        u = tri[:, :s, s]
+        u = tri[..., :s, s]
         edges = np.cumsum((0,) + sizes)
         kappa = np.concatenate(
-            [np.linalg.solve(tri[:, e0:e1, e0:e1], u[:, e0:e1, None])[..., 0]
-             for e0, e1 in zip(edges[:-1], edges[1:])], axis=1)
-        r2_blocks = (np.add.reduceat(u * u, edges[:-1], axis=1) / yty
-                     if yty > 0 else np.zeros((len(idx), len(sizes))))
-        dof = n - s - 1
-        sigma2 = tri[:, s, s] ** 2 / dof if dof > 0 else np.zeros(len(idx))
-        for j, i in enumerate(idx):
-            priors.append(blockprior.BlockHyperGPrior(
-                a, specs[i].induced_partition))
-            fits.append(design.FitSummary(
-                n=n, p=s, p_i=sizes, alpha_hat=d.y_mean,
-                beta_hat_ls=kappa[j], sigma2_hat=float(sigma2[j]),
-                r2=float(r2[j]), r2_blocks=r2_blocks[j], yty=yty,
-                one_minus_r2=float(omr2[j]), block_orthogonal=True))
-            scored.append(i)
+            [np.linalg.solve(tri[..., e0:e1, e0:e1], u[..., e0:e1, None])
+             [..., 0] for e0, e1 in zip(edges[:-1], edges[1:])], axis=-1)
+        # y'y = 0 leaves u = 0, so its block R^2s are 0
+        r2_blocks = (np.add.reduceat(u * u, edges[:-1], axis=-1)
+                     / np.where(yty_col > 0, yty_col, 1.0))
+        dof = (n - s - 1)[:, None]
+        sigma2 = np.where(dof > 0, tri[..., s, s] ** 2 / np.maximum(dof, 1),
+                          0.0)
+        r2, omr2, sigma2 = r2.tolist(), omr2.tolist(), sigma2.tolist()
+        for dd in range(n_designs):
+            for j, i in enumerate(idx):
+                post_priors.append(priors[i])
+                fits.append(design.FitSummary(
+                    n=ns[dd], p=s, p_i=sizes, alpha_hat=y_means[dd],
+                    beta_hat_ls=kappa[dd, j], sigma2_hat=sigma2[dd][j],
+                    r2=r2[dd][j], r2_blocks=r2_blocks[dd, j], yty=yty[dd],
+                    one_minus_r2=omr2[dd][j], block_orthogonal=True))
+                scored.append((dd, i))
     for start in range(0, len(scored), _SCORE_CHUNK):
         chunk = slice(start, start + _SCORE_CHUNK)
-        posts = blockprior._block_posteriors(priors[chunk], fits[chunk],
+        posts = blockprior._block_posteriors(post_priors[chunk], fits[chunk],
                                              rtol=rtol)
-        for i, post in zip(scored[chunk], posts):
-            log_bfs[i] = post.log_bf_null
-            methods[i] = post.method
-            t_means[i] = post.t_mean
-    for sizes, idx, tri, _, _ in groups:
+        for (dd, i), post in zip(scored[chunk], posts):
+            log_bfs[dd, i] = post.log_bf_null
+            methods[dd][i] = post.method
+            t_means[dd, i] = post.t_mean
+    for sizes, idx, cols, tri, _, _ in groups:
         s = sum(sizes)
-        t = np.repeat(np.array([t_means[i] for i in idx]), sizes, axis=1)
-        means[idx[:, None], np.array([orders[i] for i in idx])] = (
-            np.linalg.solve(tri[:, :s, :s], (t * tri[:, :s, s])[..., None])
-            [..., 0])
-    return log_bfs, means, methods
+        t = np.repeat(np.array([[t_means[dd, i] for i in idx]
+                                for dd in range(n_designs)]), sizes, axis=-1)
+        means[:, idx[:, None], cols] = np.linalg.solve(
+            tri[..., :s, :s], (t * tri[..., :s, s])[..., None])[..., 0]
+    return [(log_bfs[dd], means[dd], methods[dd]) for dd in range(n_designs)]
 
 
 def bma_predict(x_star: np.ndarray, posterior: ModelPosterior,

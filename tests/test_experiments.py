@@ -184,27 +184,40 @@ class TestReplicatedRuns:
         case1 = r1.series("case1_missing_block_median_log_bf")
         assert case1[-1][1] < -5.0
 
-    def test_selection_scored_from_one_factorization(self, monkeypatch):
-        # the five candidates come from one factorization of [X | y] per
-        # replicate; a run that scores each through model_inference must
-        # give the same verdicts and rows within the experiment's rtol
-        def per_model(d, specs, a=3.0, *, rtol=1e-7):
-            out = [models.model_inference(d, s, "block-subsets", a,
-                                          rtol=rtol) for s in specs]
-            return (np.array([o[0] for o in out]),
-                    np.array([o[1] for o in out]), [o[2] for o in out])
+    @staticmethod
+    def _per_model(designs, specs, a=3.0, *, rtol=1e-7):
+        # the scorer's signature, each model fitted on its own n rows
+        out = []
+        for d in designs:
+            rows = [models.model_inference(d, s, "block-subsets", a,
+                                           rtol=rtol) for s in specs]
+            out.append((np.array([r[0] for r in rows]),
+                        np.array([r[1] for r in rows]), [r[2] for r in rows]))
+        return out
 
+    def _against_per_model(self, monkeypatch, run):
+        # a run that scores every model through model_inference, per design
+        # and per model, must give the same verdicts and rows within the
+        # experiment's rtol as the batched run, which factors each design
+        # once and orthogonalizes no block on its n rows
         def refuse(*_):
             raise AssertionError("per-model n-row factorization")
 
         kw = dict(n_schedule=(100, 400), replicates=2, seed=0)
+        calls = []
         with monkeypatch.context() as patch:
+            def per_model(designs, specs, a=3.0, *, rtol=1e-7):
+                out = self._per_model(designs, specs, a, rtol=rtol)
+                calls.append(len(out))
+                return out
             patch.setattr(models, "block_subsets_scores", per_model)
-            want = run_selection_consistency(**kw)
+            want = run(**kw)
+        # the stand-in served every design of the run, in one call
+        assert calls == [4]
         with monkeypatch.context() as patch:
             patch.setattr(design, "fit_least_squares", refuse)
             patch.setattr(design, "block_orthogonalize", refuse)
-            got = run_selection_consistency(**kw)
+            got = run(**kw)
         assert got.verdicts == want.verdicts
         assert ([(r["x"], r["statistic"]) for r in got.rows]
                 == [(r["x"], r["statistic"]) for r in want.rows])
@@ -212,6 +225,61 @@ class TestReplicatedRuns:
             np.testing.assert_allclose([r[key] for r in got.rows],
                                        [r[key] for r in want.rows],
                                        rtol=1e-4)
+
+    def test_selection_scored_from_one_factorization(self, monkeypatch):
+        self._against_per_model(monkeypatch, run_selection_consistency)
+
+    def test_prediction_scored_from_one_factorization(self, monkeypatch):
+        self._against_per_model(monkeypatch, run_prediction_consistency)
+
+    def test_each_replicate_scores_as_a_one_design_call(self, monkeypatch):
+        # the experiment scores every (n, replicate) design in one call;
+        # each design's log BFs and posterior means are those of a call
+        # that scores it alone
+        batches = []
+        real = models.block_subsets_scores
+
+        def keep(designs, specs, a=3.0, *, rtol=1e-7):
+            designs = list(designs)
+            out = real(designs, specs, a, rtol=rtol)
+            batches.append((designs, specs, a, rtol, out))
+            return out
+        monkeypatch.setattr(models, "block_subsets_scores", keep)
+        run_prediction_consistency(n_schedule=(60, 240), replicates=3,
+                                   seed=5)
+        (designs, specs, a, rtol, out), = batches
+        assert [d.n for d in designs] == [60] * 3 + [240] * 3
+        for d, (log_bfs, means, methods) in zip(designs, out):
+            (one_bfs, one_means, one_methods), = real([d], specs, a,
+                                                      rtol=rtol)
+            assert methods == one_methods
+            np.testing.assert_allclose(log_bfs, one_bfs, rtol=1e-13,
+                                       atol=0.0)
+            np.testing.assert_allclose(means, one_means, rtol=1e-13,
+                                       atol=0.0)
+
+    def test_one_integral_batch_per_score_chunk(self, monkeypatch):
+        # 2 sample sizes x 3 replicates = 6 designs, and every block
+        # posterior of them goes through one batch call per _SCORE_CHUNK
+        # models (shrunk to 8 here, so the chunking shows)
+        from blockhyperg import integrate
+        real, sizes = integrate.block_integrals_gamma1d_batch, []
+
+        def counting(cases, *, rtol=1e-10):
+            cases = list(cases)
+            sizes.append(len(cases))
+            return real(cases, rtol=rtol)
+        monkeypatch.setattr(integrate, "block_integrals_gamma1d_batch",
+                            counting)
+        monkeypatch.setattr(models, "_SCORE_CHUNK", 8)
+        kw = dict(n_schedule=(100, 400), replicates=3, seed=1)
+        run_selection_consistency(**kw)
+        # five candidate models per design, none of them null
+        assert sizes == [8, 8, 8, 6]
+        sizes.clear()
+        run_prediction_consistency(**kw)
+        # the seven non-null block subsets of three blocks per design
+        assert sizes == [8] * 5 + [2]
 
     def test_prediction_smoke(self):
         res = run_prediction_consistency(n_schedule=(60, 120),

@@ -263,6 +263,82 @@ class TestAgainstOracles:
                                            atol=rtol)
 
 
+class TestMixedBatch:
+    """One batch whose members between them meet every branch of the
+    batched bracket and panel bookkeeping: each must get the values, error
+    and node count it gets alone, bit for bit."""
+
+    MEMBERS = [
+        # (a, sizes, n, block R^2, 1-R^2)
+        (3.0, (2, 1), 40, (0.5, 0.2), 0.3),
+        (3.0, (1, 1), 12, (0.6, 0.4), 1e-300),  # refines three times
+        (3.05, (1, 1), 5, (0.6, 0.4), 0.0),  # a tail of rate 0.05: walks
+        # test_unit_r2_tail_past_overflow's k = 1 case: the window moves
+        # and the tail is taken past x = 709.8
+        (3.1147, (1,), 3, (1.0,), 0.0),
+        (3.0, (1, 2), 40, (0.4, 0.0), 0.6),  # an inactive axis
+        (4.0, (2, 500), 600, (0.3, 0.2), 0.5),  # a block of 500
+    ]
+    RTOL = 1e-12
+
+    @staticmethod
+    def _case(a, sizes, n, rho, omr2):
+        return (0.5 * (a + np.array(sizes, dtype=float)) - 2.0,
+                np.array(rho), omr2, 0.5 * (n - 1))
+
+    def test_members_get_their_batch_of_one_values(self, monkeypatch):
+        cases = [self._case(*mem) for mem in self.MEMBERS]
+        batch = block_integrals_gamma1d_batch(cases, rtol=self.RTOL)
+        real, calls = integrate._radial_logf_columns, []
+
+        def recording(*args):
+            logf = real(*args)
+
+            def counted(x, idx):
+                calls[-1].append(len(x))
+                return logf(x, idx)
+            return counted
+        monkeypatch.setattr(integrate, "_radial_logf_columns", recording)
+        for case, got in zip(cases, batch):
+            calls.append([])
+            alone = block_integrals_gamma1d(*case, rtol=self.RTOL)
+            assert got.log_i0 == alone.log_i0
+            np.testing.assert_array_equal(got.log_i_axis, alone.log_i_axis)
+            assert got.error == alone.error
+            assert got.n_evals == alone.n_evals
+        # alone, a member's calls are its scan windows (61 points each),
+        # end-walk steps (2) and quadrature passes (21 per panel)
+        scans = [c.count(61) for c in calls]
+        walks = [c.count(2) for c in calls]
+        passes = [sum(v % 21 == 0 for v in c) for c in calls]
+        assert max(scans) >= 2 and max(walks) >= 1 and max(passes) >= 4
+
+    def test_no_convergence_names_its_own_integral(self):
+        # x^p on (0, 1] with p near -1: the panel at the singular end
+        # converges too slowly for 60 passes, so the three singular
+        # members all fail in the last pass, each with its own error; the
+        # first one still open is the one named
+        powers = np.array([0.0, -0.9, -0.8, -0.95])
+
+        def logf(x, idx):
+            p = powers[idx]
+            return np.where(p == 0.0, -x, p * np.log(x))[:, None]
+
+        def message(members):
+            members = np.array(members)
+            with pytest.raises(NoConvergence) as info:
+                adaptive_log_integral(
+                    lambda x, idx: logf(x, members[idx]),
+                    np.zeros(len(members)), np.ones(len(members)),
+                    rtol=1e-6)
+            return str(info.value)
+        alone = {j: message([j]) for j in (1, 2, 3)}
+        assert len(set(alone.values())) == 3
+        assert message([0, 1, 2]) == alone[1]
+        assert message([0, 2, 1, 3]) == alone[2]
+        assert message([3, 1]) == alone[3]
+
+
 class TestVectorQuadrature:
     # exp(a x - b e^x) integrates to Gamma(a) / b^a over the real line
     COLS = [(2.0, 1.0), (3.5, 0.2), (0.7, 5.0)]

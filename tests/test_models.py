@@ -12,8 +12,9 @@ from blockhyperg.design import (BlockPartition, CenteredDesign,
 from blockhyperg.errors import (BudgetExceeded, DimensionMismatch,
                                 DomainError, EmptyModelList, RankDeficient)
 from blockhyperg.models import (ALL_SUBSETS_MAX_P, ModelSpec, bma_predict,
-                                enumerate_models, evaluate_model_space,
-                                model_inference, posterior_model_probs)
+                                block_subsets_scores, enumerate_models,
+                                evaluate_model_space, model_inference,
+                                posterior_model_probs)
 
 
 def _design(n=120, sizes=(2, 2), beta=(1.0, -0.8, 0.0, 0.0), seed=0,
@@ -384,9 +385,16 @@ class TestBlockSubsetsTriangle:
         with pytest.raises(RankDeficient):
             model_inference(d, ModelSpec.from_gamma([1, 1, 1], d.partition),
                             "block-subsets")
-        with pytest.raises(RankDeficient, match="residualized block"):
+        with pytest.raises(RankDeficient, match="residualized block") as alone:
             evaluate_model_space(d, "block-subsets")
-
+        # scored after a sound design of another n, it raises as alone
+        Z = rng.normal(size=(60, 3))
+        good = center_design(Z, Z @ np.array([1.0, 0.5, 0.2])
+                             + rng.normal(size=60), d.partition)
+        specs = enumerate_models(d.partition, "block-subsets")
+        with pytest.raises(RankDeficient) as batch:
+            block_subsets_scores([good, d], specs)
+        assert str(batch.value) == str(alone.value)
 
     def test_search_shares_its_integrand_calls(self, monkeypatch):
         # seven models of one to three blocks: one bracket scan and one
