@@ -15,8 +15,10 @@ is J(0) with b_j = nu_j - 1, and their mean is linear in the J(e_j)/J(0).
 The library computes them with block_integrals_gamma1d for every k: a
 gamma mixture over a radial scale lam reduces each J(e) to one integral
 over log lam, whose integrand is a product of lower incomplete gammas.
-J(0) and the k integrals J(e_i) differ only in one shape each, so all k+1
-are one vector-valued integral on one bracket and one panel set.
+J(0) and the k integrals J(e_i) differ only in one shape each, beta_i or
+beta_i + 1, so all k+1 are one vector-valued integral on one bracket and
+one panel set, and each node's axis takes both of its shapes from one
+incomplete gamma (special.log_inc_gamma_ratio_pair).
 block_integrals_gamma1d_batch takes many models, of mixed k, at once: they
 share every call of the integrand (one incomplete-gamma call for all
 their nodes per bracket scan, end-walk step and quadrature pass) and the
@@ -39,7 +41,7 @@ from scipy.special import gammaln, logsumexp
 from . import kernels
 from ._quadlog import adaptive_log_integral, gl_rule, peak_bracket
 from .errors import DomainError, IntegralDiverges, NoConvergence
-from .special import log_inc_gamma_ratio
+from .special import log_inc_gamma_ratio, log_inc_gamma_ratio_pair
 
 _TENSOR_BUDGET = 10**6  # the tensor reference escalates below this many evals
 _QMC_POINTS = 2**16  # Sobol points per randomization of the QMC reference
@@ -430,56 +432,48 @@ def _radial_logf_columns(beta: np.ndarray, rho: np.ndarray,
     columns, for M models at once: logf(x, idx) takes each node's model.
 
     beta and rho are (M, K), a model of fewer axes padded with beta = 1
-    and rho = 0. A padded entry's log ratio is set to exactly 0, so it adds
-    nothing to a sum, and the column it bumps repeats column 0. The 2k
-    incomplete-gamma ratios at beta and beta + 1 of every node's own axes
-    are one call of log_inc_gamma_ratio, whatever the batch.
+    and rho = 0. A padded entry is not evaluated: its log ratio counts as
+    0 at both shapes, so the column it bumps repeats column 0.
+    One call of log_inc_gamma_ratio_pair, whatever the batch, gives every
+    node's own axes their ratio at beta and at beta + 1: one incomplete
+    gamma per active (node, axis). gammaln of both shapes is taken once
+    per batch, and log y = x + log rho_i comes from the node. Every ratio
+    is finite, so the column that bumps axis i is the base sum plus the
+    difference of its two ratios.
 
     Beyond x = log(max double), about 709.8, lam overflows. With delta > 0
-    the integrand is then negligible, and the overflow gives -inf. At
-    delta = 0 the tail decays only as lam^(m - sum beta_i), so a model
-    with delta = 0 takes those nodes' ratios from their limit
-    log Gamma(beta) - beta (x + log rho), and lam delta as 0; a batch
-    without such a model does no more work.
+    the tilt lam delta is then inf and the integrand -inf, which is
+    negligible. At delta = 0 the tail decays only as lam^(m - sum beta_i);
+    there the tilt is 0, and each ratio at lam = inf is its limit
+    gammaln(beta) - beta (x + log rho_i).
     """
     k = beta.shape[1]
-    shapes = np.concatenate([beta, beta + 1.0], axis=1)
-    rho2 = np.concatenate([rho, rho], axis=1)
-    real = rho2 > 0.0
-    padded = not real.all()
+    real = rho > 0.0
+    # per flat (model, axis): shape, rho_i, log rho_i and gammaln of both
+    # shapes
+    table = np.stack([beta, rho, np.log(np.where(real, rho, 1.0)),
+                      gammaln(beta), gammaln(beta + 1.0)]).reshape(5, -1)
     lgm = np.array([math.lgamma(v) for v in m])
-    diag = np.arange(k)
-    unit = delta == 0.0
-    at_unit = bool(unit.any())
-    if at_unit:
-        log_rho2 = np.log(np.where(real, rho2, 1.0))
-        lg_shapes = gammaln(shapes)
 
     def logf(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        # the active entries of the (node, axis) grid, and their node
+        n = len(x)
+        pos = real[idx].ravel().nonzero()[0]
+        node = pos // k
+        b, y, log_y, lg0, lg1 = table.take(pos + (idx[node] - node) * k,
+                                           axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             lam = np.exp(x)
-            arg = lam[:, None] * rho2[idx]
-            if padded:
-                sel = real[idx]
-                ratio = np.zeros(arg.shape)
-                ratio[sel] = log_inc_gamma_ratio(shapes[idx][sel], arg[sel])
-            else:
-                ratio = log_inc_gamma_ratio(shapes[idx], arg)
-            tilt = lam * delta[idx]
-            if at_unit:
-                far = np.flatnonzero(np.isinf(lam) & unit[idx])
-                j = idx[far]
-                ratio[far] = np.where(real[j], lg_shapes[j] - shapes[j] * (
-                    x[far, None] + log_rho2[j]), 0.0)
-                tilt[far] = 0.0
-            base, bumped = ratio[:, :k], ratio[:, k:]
-            # each bumped column is its own sum with entry i swapped, not
-            # the base sum minus one term: far out both are -inf
-            swap = np.repeat(base[:, None, :], k, axis=1)
-            swap[:, diag, diag] = bumped
-            sums = np.concatenate([base.sum(axis=1)[:, None],
-                                   swap.sum(axis=2)], axis=1)
-            return (m[idx] * x - tilt - lgm[idx])[:, None] + sums
+            d = delta[idx]
+            tilt = np.where(d > 0.0, lam * d, 0.0)  # inf * 0 at delta = 0
+            y *= lam[node]
+        log_y += x[node]
+        r0, r1 = log_inc_gamma_ratio_pair(b, y, log_y, lg0, lg1)
+        base, bump = np.zeros(n * k), np.zeros(n * k)
+        base[pos], bump[pos] = r0, r1 - r0
+        sums = base.reshape(n, k).sum(axis=1)[:, None]
+        return (m[idx] * x - tilt - lgm[idx])[:, None] + np.concatenate(
+            [sums, sums + bump.reshape(n, k)], axis=1)
     return logf
 
 
@@ -502,7 +496,8 @@ def block_integrals_gamma1d(bpow: np.ndarray, rho: np.ndarray, delta: float,
     J(0) and each J(e_i) is one integral over x = log lam, for any k. All
     k+1 share one bracket and one panel set: one vector-valued adaptive
     Gauss-Kronrod integral at rtol/10, whose integrand evaluates the 2k
-    incomplete-gamma ratios once per node. At the rtol of a block posterior
+    incomplete-gamma ratios (k shapes, each also bumped by one) from k
+    incomplete gammas per node. At the rtol of a block posterior
     (1e-7) that is usually two calls of the integrand: the bracket's
     61-point scan and one pass of 8 panels of 21 nodes. A panel that has
     converged is kept, so a further pass evaluates only the halves of the

@@ -229,6 +229,44 @@ def hyp2f1_near1_scaled(a: float, b: float, c: float, z: float,
                     + hyp2f1_log(a, b, c, z, one_minus_z=delta))
 
 
+def _series_log_ratio(beta, y) -> np.ndarray:
+    """log_inc_gamma_ratio by the series sum_k y^k / (beta (beta+1) ...
+    (beta+k)), summed directly, over 1-D arrays. Its terms fall from the
+    first one on, so nothing underflows however large beta is, and
+    log e^(-y) is added in log space."""
+    total = 1.0 / beta
+    term = total.copy()
+    live = np.arange(len(beta))
+    for k in range(1, 100_000):
+        if not live.size:
+            break
+        term = term * y[live] / (beta[live] + k)
+        total[live] += term
+        going = term > total[live] * 1e-17
+        live, term = live[going], term[going]
+    else:
+        raise NoConvergence("incomplete gamma series stalled")
+    return np.log(total) - y
+
+
+def _lower_log_ratio(beta, y, log_y, lg) -> np.ndarray:
+    """log_inc_gamma_ratio over 1-D arrays of entries with y < beta + 1,
+    given log y and gammaln(beta): lg + log gammainc(beta, y) - beta log y
+    where beta <= 30 and gammainc is above 1e-30, the series elsewhere."""
+    out = np.empty(beta.shape)
+    idx = (beta <= _GAMMAINC_MAX_SHAPE).nonzero()[0]
+    bg = beta.take(idx)
+    p = gammainc(bg, y.take(idx))
+    ok = p > _GAMMAINC_FLOOR
+    g = idx[ok]
+    out[g] = lg.take(g) + np.log(p[ok]) - bg[ok] * log_y.take(g)
+    if len(g) < len(beta):
+        ser = np.ones(beta.shape, dtype=bool)
+        ser[g] = False
+        out[ser] = _series_log_ratio(beta[ser], y[ser])
+    return out
+
+
 def log_inc_gamma_ratio(beta, x) -> np.ndarray:
     """log[gamma(beta, x) / x^beta] = log int_0^1 s^(beta-1) e^(-x s) ds,
     elementwise over broadcast arrays with beta > 0 and x >= 0.
@@ -237,42 +275,61 @@ def log_inc_gamma_ratio(beta, x) -> np.ndarray:
     - x >= beta+1: the upper tail gammaincc is small enough for log1p;
     - x < beta+1 with beta <= 30: gammaln(beta) + log gammainc(beta, x)
       minus beta log x, while gammainc is above 1e-30;
-    - every other entry: the series sum_k x^k / (beta (beta+1) ...
-      (beta+k)), summed directly. Its terms fall from the first one on, so
-      nothing underflows however large beta is, and log e^(-x) is added in
-      log space.
+    - every other entry: the series (`_series_log_ratio`).
     The subtraction in the gammainc form loses digits in proportion to
     |log gammainc| and to beta: about 1e-14 absolute at the two limits,
     against 1e-12 at beta = 650. Below the floor (x = 0 included) the
     series needs at most about a dozen terms.
+    log_inc_gamma_ratio_pair gives the ratio at beta and beta+1 for the
+    cost of one.
     """
     beta, x = np.broadcast_arrays(np.asarray(beta, dtype=float),
                                   np.asarray(x, dtype=float))
+    shape = beta.shape
+    beta, x = beta.ravel(), x.ravel()
     out = np.empty(beta.shape)
-    low = x < beta + 1.0
-    bh, xh = beta[~low], x[~low]
-    out[~low] = (gammaln(bh) + np.log1p(-gammaincc(bh, xh))
-                 - bh * np.log(xh))
-    idx = np.flatnonzero(low & (beta <= _GAMMAINC_MAX_SHAPE))
-    bg, xg = beta.flat[idx], x.flat[idx]
-    p = gammainc(bg, xg)
-    ok = p > _GAMMAINC_FLOOR
-    bg, xg = bg[ok], xg[ok]
-    out.flat[idx[ok]] = gammaln(bg) + np.log(p[ok]) - bg * np.log(xg)
-    low.flat[idx[ok]] = False
+    up = x >= beta + 1.0
+    bh, xh = beta[up], x[up]
+    out[up] = (gammaln(bh) + np.log1p(-gammaincc(bh, xh))
+               - bh * np.log(xh))
+    low = ~up
     bl, xl = beta[low], x[low]
-    total = 1.0 / bl
-    term = total.copy()
-    live = np.arange(len(bl))
-    for k in range(1, 100_000):
-        if not live.size:
-            break
-        term = term * xl[live] / (bl[live] + k)
-        total[live] += term
-        going = term > total[live] * 1e-17
-        live, term = live[going], term[going]
-    else:
-        raise NoConvergence("incomplete gamma series stalled")
-    out[low] = np.log(total) - xl
-    return out
+    with np.errstate(divide="ignore"):
+        out[low] = _lower_log_ratio(bl, xl, np.log(xl), gammaln(bl))
+    return out.reshape(shape)
 
+
+def log_inc_gamma_ratio_pair(beta, y, log_y, lg0, lg1,
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """log_inc_gamma_ratio at beta and at beta+1, over 1-D arrays with
+    beta > 0 and y >= 0, given log y and gammaln at both shapes, for one
+    incomplete-gamma evaluation per entry.
+
+    Each side evaluates one shape and derives the other by a recurrence
+    whose terms are all positive (DLMF 8.8):
+    - y >= beta+1: Q = gammaincc(beta, y), and Q(beta+1, y) = Q +
+      y^beta e^-y / Gamma(beta+1); both go through log1p(-Q);
+    - y < beta+1: the lower routes of log_inc_gamma_ratio at beta+1, and
+      the ratio at beta from F(beta) = (e^-y + y F(beta+1)) / beta, where
+      F = e^ratio.
+    y = inf with a finite log y gives the limit gammaln - shape log y on
+    both shapes, and y = 0 with log y = -inf gives -log of each shape.
+    """
+    r0, r1 = np.empty(beta.shape), np.empty(beta.shape)
+    up = y >= beta + 1.0
+    iu = up.nonzero()[0]
+    b, yu, lyu = beta.take(iu), y.take(iu), log_y.take(iu)
+    lg1u = lg1.take(iu)
+    q0 = gammaincc(b, yu)
+    e = b * lyu
+    q1 = q0 + np.exp(e - yu - lg1u)
+    r0[iu] = lg0.take(iu) + np.log1p(-q0) - e
+    r1[iu] = lg1u + np.log1p(-q1) - e - lyu
+    il = (~up).nonzero()[0]
+    b, yl, lyl = beta.take(il), y.take(il), log_y.take(il)
+    r1l = _lower_log_ratio(b + 1.0, yl, lyl, lg1.take(il))
+    r1[il] = r1l
+    # log(e^-y + y F(beta+1)): y F(beta+1) e^y grows with y to less than
+    # 2 + sqrt(2 beta) at y = beta+1, so the exp cannot overflow
+    r0[il] = np.log1p(np.exp(lyl + r1l + yl)) - yl - np.log(b)
+    return r0, r1

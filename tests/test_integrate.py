@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockhyperg import integrate
+from blockhyperg import integrate, special
 from blockhyperg._quadlog import (GAUSS_WEIGHTS, KRONROD_NODES,
                                   KRONROD_WEIGHTS, adaptive_log_integral,
                                   logsumexp, peak_bracket)
@@ -170,18 +170,56 @@ class TestOnePass:
     @pytest.mark.parametrize("k", [2, 3])
     def test_scan_and_one_pass(self, k, rtol, monkeypatch):
         # every call of the integrand evaluates the incomplete-gamma
-        # ratios once, for all its nodes
-        real, calls = integrate.log_inc_gamma_ratio, []
+        # ratios once, for all its nodes: k entries per node
+        real, calls = integrate.log_inc_gamma_ratio_pair, []
 
         def counting(*args):
-            calls.append(len(args[1]))
+            calls.append(len(args[1]) // k)
             return real(*args)
-        monkeypatch.setattr(integrate, "log_inc_gamma_ratio", counting)
+        monkeypatch.setattr(integrate, "log_inc_gamma_ratio_pair", counting)
         bpow, rho, delta, m = _draw(np.random.default_rng(21), k)
         res = block_integrals_gamma1d(bpow, rho, delta, m, rtol=rtol)
         assert res.error <= 0.1 * rtol
         assert len(calls) == 2
         assert res.n_evals / (k + 1) == sum(calls) <= 250
+
+    def test_one_incomplete_gamma_per_node_and_axis(self, monkeypatch):
+        # a mixed batch: k = 1 to 3, so the shorter models have padded
+        # axes; a block of 500, whose lower side goes straight to the
+        # series; and a delta = 0 model whose tail runs past x = 709.8,
+        # where lam overflows. Each active (node, axis) reaches gammaincc,
+        # gammainc or the series once, for both of its shapes
+        counts = {"gammainc": 0, "gammaincc": 0, "series": 0}
+        tail = []
+        for name in ("gammainc", "gammaincc"):
+            real = getattr(special, name)
+
+            def counting(b, y, _real=real, _name=name):
+                counts[_name] += b.size
+                if _name == "gammaincc":
+                    tail.append(np.isinf(y).any())
+                return _real(b, y)
+            monkeypatch.setattr(special, name, counting)
+        real_series = special._series_log_ratio
+
+        def series(b, y):
+            # shapes up to 30 came here from gammainc, and are counted there
+            counts["series"] += int(np.sum(b > special._GAMMAINC_MAX_SHAPE))
+            return real_series(b, y)
+        monkeypatch.setattr(special, "_series_log_ratio", series)
+        members = [(3.1147, (1,), 3, (1.0,), 0.0),
+                   (3.0, (2, 1), 40, (0.5, 0.2), 0.3),
+                   (3.0, (1, 1, 2), 40, (0.3, 0.1, 0.05), 0.55),
+                   (4.0, (2, 500), 600, (0.3, 0.2), 0.5)]
+        cases = [(0.5 * (a + np.array(sizes, dtype=float)) - 2.0,
+                  np.array(rho), omr2, 0.5 * (n - 1))
+                 for a, sizes, n, rho, omr2 in members]
+        batch = block_integrals_gamma1d_batch(cases, rtol=1e-7)
+        want = sum(len(r.log_i_axis) * r.n_evals // (len(r.log_i_axis) + 1)
+                   for r in batch)
+        assert any(tail)
+        assert counts["series"] > 0
+        assert sum(counts.values()) == want
 
 
 class TestAgainstOracles:

@@ -400,19 +400,19 @@ class TestBlockSubsetsTriangle:
         # seven models of one to three blocks: one bracket scan and one
         # quadrature pass for the whole search, each a single call of the
         # incomplete-gamma ratios for every model's nodes
-        real, calls = integrate.log_inc_gamma_ratio, []
+        real, calls = integrate.log_inc_gamma_ratio_pair, []
 
         def counting(*args):
             calls.append(len(args[1]))
             return real(*args)
-        monkeypatch.setattr(integrate, "log_inc_gamma_ratio", counting)
+        monkeypatch.setattr(integrate, "log_inc_gamma_ratio_pair", counting)
         d = _design(n=100, sizes=(2, 2, 2),
                     beta=(1.0, -0.8, 0.6, 0.9, 0.0, 0.0), seed=7)
         post, _, methods = evaluate_model_space(d, "block-subsets",
                                                 rtol=1e-4)
         assert methods.count("gamma1d") == 7
         assert len(calls) == 2
-        monkeypatch.setattr(integrate, "log_inc_gamma_ratio", real)
+        monkeypatch.setattr(integrate, "log_inc_gamma_ratio_pair", real)
         for i, spec in enumerate(post.models):
             log_bf, _, _ = model_inference(d, spec, "block-subsets",
                                            rtol=1e-4)

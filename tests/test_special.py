@@ -8,10 +8,12 @@ import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from blockhyperg.errors import DomainError, NoConvergence
 from blockhyperg.special import (hyp2f1, hyp2f1_log, hyp2f1_near1_scaled,
-                                 log_inc_gamma_ratio, log_series_2f1)
+                                 log_inc_gamma_ratio,
+                                 log_inc_gamma_ratio_pair, log_series_2f1)
 
 mpmath.mp.dps = 40
 
@@ -228,6 +230,75 @@ def test_inc_gamma_ratio_route_switches_against_mpmath(beta):
         assert one.shape == ()
         for v in (g, float(log_inc_gamma_ratio(beta, x)), float(one)):
             assert abs(v - want) <= 5e-14 * max(1.0, abs(want)), (beta, x)
+
+
+def _ratio_pair(beta, x):
+    """log_inc_gamma_ratio_pair over broadcast arrays, log x from x."""
+    beta, x = np.broadcast_arrays(np.asarray(beta, dtype=float),
+                                  np.asarray(x, dtype=float))
+    b, y = beta.ravel(), x.ravel()
+    with np.errstate(divide="ignore"):
+        log_y = np.log(y)
+    r0, r1 = log_inc_gamma_ratio_pair(b, y, log_y, gammaln(b),
+                                      gammaln(b + 1.0))
+    return r0.reshape(beta.shape), r1.reshape(beta.shape)
+
+
+def test_inc_gamma_ratio_pair_matches_mpmath_at_both_shapes():
+    # the grid of test_inc_gamma_ratio_matches_scalar_routine, widened by
+    # shapes around the gammainc limit of 30 and by y in [beta+1, beta+2),
+    # where the bumped shape now takes the upper side with its base
+    beta = np.concatenate([np.geomspace(0.05, 1000.0, 23),
+                           [29.0, 29.5, 30.0, 30.5, 31.0]])[:, None]
+    x = np.concatenate([np.broadcast_to(np.geomspace(1e-12, 1e4, 31),
+                                        (len(beta), 31)),
+                        beta + [1.0, 1.25, 1.5, 1.75, 2.0 - 1e-9]], axis=1)
+    r0, r1 = _ratio_pair(beta, x)
+    for shape, got in ((beta, r0), (beta + 1.0, r1)):
+        with mpmath.workdps(30):
+            want = np.vectorize(_mp_log_ratio)(shape, x)
+        scale = np.maximum(1.0, np.abs(shape * np.log(x)))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("beta", [0.3, 2.0, 29.0, 29.5, 30.0, 30.5, 31.0,
+                                  120.0])
+def test_inc_gamma_ratio_pair_route_switches_against_mpmath(beta):
+    # each side and route of either shape: y = beta+1 splits the sides,
+    # beta+2 is where the bumped shape used to change side, the bumped
+    # shape takes gammainc up to 30 and each shape's gammainc falls below
+    # 1e-30 near its own floor
+    xs = [1e-300, 1e-3, 0.5 * (beta + 1.0), beta + 1.0 - 1e-3, beta + 1.0,
+          beta + 1.0 + 1e-3, beta + 1.5, beta + 2.0 - 1e-3,
+          beta + 2.0 + 1e-3, 3.0 * beta + 10.0]
+    for shape in (beta, beta + 1.0):
+        x_floor = (1e-30 * math.gamma(shape + 1.0)) ** (1.0 / shape)
+        if x_floor > 0.0:
+            xs += [0.5 * x_floor, 2.0 * x_floor]
+    r0, r1 = _ratio_pair(beta, np.array(xs))
+    for x, g0, g1 in zip(xs, r0, r1):
+        for shape, got in ((beta, g0), (beta + 1.0, g1)):
+            want = _mp_log_ratio(shape, x)
+            assert abs(got - want) <= 5e-14 * max(1.0, abs(want)), (
+                shape, x)
+
+
+def test_inc_gamma_ratio_pair_at_the_ends():
+    beta = np.array([0.05, 0.5, 2.0, 29.5, 30.0, 250.0, 1000.0])
+    # y = 0: the s-integral of s^(shape-1) is 1/shape
+    r0, r1 = _ratio_pair(beta, 0.0)
+    np.testing.assert_allclose(r0, -np.log(beta), rtol=1e-15)
+    np.testing.assert_allclose(r1, -np.log(beta + 1.0), rtol=1e-15)
+    # y = inf, as where lam overflows, with log y from the node: the
+    # limit gammaln(shape) - shape log y
+    for log_y in (710.0, 1e4):
+        r0, r1 = log_inc_gamma_ratio_pair(
+            beta, np.full(beta.shape, np.inf), np.full(beta.shape, log_y),
+            gammaln(beta), gammaln(beta + 1.0))
+        np.testing.assert_allclose(r0, gammaln(beta) - beta * log_y,
+                                   rtol=1e-15)
+        np.testing.assert_allclose(
+            r1, gammaln(beta + 1.0) - (beta + 1.0) * log_y, rtol=1e-15)
 
 
 def _mp_2f1_log_hp(a, b, c, one_minus_z):
