@@ -19,14 +19,14 @@ block fit reports it from the pass that gave its Bayes factor.
 bf_block_hyper_g is the one entry point for a block posterior: it returns
 the log Bayes factor and every block's E[t_i | y] together, from the
 gamma-mixture integrals, or from the limit sentinel when the integral
-diverges at unit R^2. It is the batch of one of _block_posteriors, which
-scores many (prior, fit) pairs at once for a block-subsets search or a
-sweep: their integrals share the integrand calls of one
-block_integrals_gamma1d_batch pass, while the checks, the limit sentinel
-and the bound check on the shrinkage means stay per model, so each model
-gets the result it gets alone. The paper's large-n Laplace approximation
-of the same integral (log_bf_laplace, with the small-a single-predictor
-adjustment) is a separate function; no block posterior is served by it.
+diverges at unit R^2. It checks one fit and makes the one-row arrays of
+_posteriors, the array form that searches and sweeps call with their fits
+stacked, with no object or Python step per model: the integrals share one
+block_integrals_gamma1d_batch pass and every check is an array step, so
+each model gets the result it gets alone. The paper's large-n Laplace
+approximation of the same integral (log_bf_laplace, with the small-a
+single-predictor adjustment) is a separate function; no block posterior
+is served by it.
 """
 
 from __future__ import annotations
@@ -100,25 +100,6 @@ def _check_partition(prior: BlockHyperGPrior, fit: FitSummary) -> None:
             f"fit blocks {fit.p_i}")
 
 
-def _divergence_threshold(prior: BlockHyperGPrior, rho: np.ndarray) -> float:
-    """The integral at sum R_i^2 = 1 is proper iff n < k(a-2) + p + 1, over
-    the blocks with R_i^2 > 0 only: the others separate into 1/(b_i+1)."""
-    active = rho > 0.0
-    return (active.sum() * (prior.a - 2.0)
-            + np.asarray(prior.partition.sizes)[active].sum() + 1.0)
-
-
-def _limit_posterior(prior: BlockHyperGPrior, rho: np.ndarray,
-                     ) -> ShrinkagePosterior:
-    """Divergent-integral sentinel: the posterior piles up at t_i = 1 for
-    every block carrying signal; no-signal blocks sit at their floor."""
-    p_i = np.asarray(prior.partition.sizes, dtype=float)
-    t_mean = np.where(rho > 0.0, 1.0, 2.0 / (prior.a + p_i))
-    return ShrinkagePosterior(t_mean=t_mean, log_bf_null=math.inf,
-                              method="limit", error_estimate=0.0, n_evals=0,
-                              sigma2_mean=None)
-
-
 def bf_block_hyper_g(prior: BlockHyperGPrior, fit: FitSummary, *,
                      rtol: float = 1e-7) -> ShrinkagePosterior:
     """The block posterior: log BF(model : null) = k log((a-2)/2) + log of
@@ -127,55 +108,70 @@ def bf_block_hyper_g(prior: BlockHyperGPrior, fit: FitSummary, *,
     at unit R^2. The same E[s_i | y] give E[sigma^2 | y] (`_sigma2_mean`).
 
     Block i of the posterior mean of beta is block i of the LS estimate
-    times t_mean[i] (`scale_blocks`). This is a batch of one of
-    `_block_posteriors`.
+    times t_mean[i] (`scale_blocks`). This is a one-row call of
+    `_posteriors`, after the checks on the fit and the partition.
     """
-    return _block_posteriors([prior], [fit], rtol=rtol)[0]
+    _, rss, _, q = _sigma2_pieces(prior, fit)  # checks fit, partition
+    log_bf, t_mean, s_mean, error, n_evals, method = _posteriors(
+        prior.a, np.array([prior.partition.sizes]), np.array([fit.n]),
+        np.asarray(fit.r2_blocks, dtype=float)[None],
+        np.array([fit.one_minus_r2], dtype=float), rtol=rtol)
+    method = str(method[0])
+    return ShrinkagePosterior(
+        t_mean=t_mean[0], log_bf_null=float(log_bf[0]), method=method,
+        error_estimate=float(error[0]), n_evals=int(n_evals[0]),
+        sigma2_mean=None if method == "limit" else _sigma2_mean(
+            rss, q, s_mean[0], 0.5 * (fit.n - 1)))
 
 
-def _block_posteriors(priors, fits, *, rtol: float = 1e-7,
-                     ) -> list[ShrinkagePosterior]:
-    """bf_block_hyper_g for each (prior, fit) pair, all integrals in one
-    `integrate.block_integrals_gamma1d_batch` pass. The checks, the limit
-    sentinel and the bound check on the shrinkage means are per model, and
-    each model's result is the one it gets alone; any model that raises
-    raises for the batch."""
-    out: list[ShrinkagePosterior | None] = [None] * len(fits)
-    cases, scored = [], []
-    for j, (prior, fit) in enumerate(zip(priors, fits)):
-        _, rss, _, q = _sigma2_pieces(prior, fit)  # checks fit, partition
-        m = 0.5 * (fit.n - 1)
-        rho = np.clip(np.asarray(fit.r2_blocks, dtype=float), 0.0, 1.0)
-        delta = max(float(fit.one_minus_r2), 0.0)
-        if delta <= 0.0:
-            thresh = _divergence_threshold(prior, rho)
-            if fit.n > thresh:
-                out[j] = _limit_posterior(prior, rho)
-                continue
-            if fit.n == thresh:
-                raise IntegralDiverges(
-                    "unit R^2 at the exact propriety boundary n = "
-                    f"k(a-2)+p+1 = {thresh} over the blocks with R_i^2 > 0")
-        cases.append((prior.b_powers(), rho, delta, m))
-        scored.append((j, rss, q, m))
-    results = integrate.block_integrals_gamma1d_batch(cases, rtol=rtol)
-    for (j, rss, q, m), res in zip(scored, results):
-        prior = priors[j]
-        t_mean = res.t_mean
-        floor = 2.0 / (prior.a + np.asarray(prior.partition.sizes,
-                                            dtype=float))
-        if np.any(t_mean < floor - 1e-6) or np.any(t_mean > 1.0):
-            raise NoConvergence(
-                "integrated shrinkage means violate the analytic bounds; "
-                "integration failed")
-        out[j] = ShrinkagePosterior(
-            t_mean=np.clip(t_mean, floor, 1.0),
-            log_bf_null=prior.k * math.log(0.5 * (prior.a - 2.0))
-            + res.log_i0,
-            method=res.method, error_estimate=res.error,
-            n_evals=res.n_evals,
-            sigma2_mean=_sigma2_mean(rss, q, res.s_mean, m))
-    return out
+def _posteriors(a: float, sizes: np.ndarray, n: np.ndarray, rho: np.ndarray,
+                delta: np.ndarray, *, rtol: float = 1e-7):
+    """`bf_block_hyper_g`'s values for M block-orthogonal fits: block sizes
+    and R^2 (M, K), n and 1-R^2 (M). A model of fewer blocks is padded with
+    size 0 and R^2 0, and padded entries of the results are undefined.
+    Returns the log BFs (M), t_mean (M, K), the integrals' E[s_i | y]
+    (M, K; NaN for the limit sentinel), and per model the error estimate,
+    n_evals and method. A model that raises raises for the call; at the
+    exact boundary, the first such model names its own.
+    """
+    if not 2.0 < a <= 4.0:
+        raise DomainError(f"need 2 < a <= 4, got a={a}")
+    rho = np.minimum(np.maximum(rho, 0.0), 1.0)
+    delta = np.maximum(delta, 0.0)
+    active = rho > 0.0
+    limit = delta <= 0.0
+    if limit.any():
+        # at unit R^2 the integral is proper iff n < k(a-2) + p + 1, over
+        # the blocks with R_i^2 > 0 only: the others separate
+        thresh = (active.sum(axis=1) * (a - 2.0)
+                  + np.where(active, sizes, 0).sum(axis=1) + 1.0)
+        edge = np.flatnonzero(limit & (n == thresh))
+        if edge.size:
+            raise IntegralDiverges(
+                "unit R^2 at the exact propriety boundary n = k(a-2)+p+1 "
+                f"= {thresh[edge[0]]} over the blocks with R_i^2 > 0")
+        limit &= n > thresh
+    # a limit row goes to the batch with every block inactive, which
+    # integrates nothing and reports 0 evaluations and error
+    real, lim = sizes > 0, limit[:, None]
+    res = integrate.block_integrals_gamma1d_batch(
+        np.where(real, 0.5 * (a + sizes) - 2.0, 0.0),
+        np.where(lim, 0.0, rho), delta, 0.5 * (n - 1), rtol=rtol)
+    s_mean = res.s_mean
+    t = 1.0 - s_mean
+    floor = 2.0 / (a + sizes)
+    if (real & ~lim & ((t < floor - 1e-6) | (t > 1.0))).any():
+        raise NoConvergence(
+            "integrated shrinkage means violate the analytic bounds; "
+            "integration failed")
+    # the divergent integral's sentinel: the posterior piles up at t_i = 1
+    # for every block carrying signal; no-signal blocks sit at their floor
+    return (np.where(limit, math.inf, real.sum(axis=1)
+                     * math.log(0.5 * (a - 2.0)) + res.log_i0),
+            np.where(lim, np.where(active, 1.0, floor),
+                     np.minimum(np.maximum(t, floor), 1.0)),
+            np.where(lim, np.nan, s_mean), res.error, res.n_evals,
+            np.where(limit, "limit", "gamma1d"))
 
 
 def scale_blocks(beta: np.ndarray, partition: BlockPartition,

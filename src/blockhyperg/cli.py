@@ -238,6 +238,7 @@ def cmd_fit(cfg: dict) -> int:
         if post.sigma2_mean is not None:
             report["sigma2_posterior_mean"] = post.sigma2_mean
     else:
+        method, error, n_evals = "closed-form", 0.0, 0
         if prior["type"] == "fixed-g":
             g = float(prior["g"])
             log_bf = hyperg.log_bf_fixed_g_stats(g, fit.n, fit.p, fit.r2,
@@ -245,15 +246,18 @@ def cmd_fit(cfg: dict) -> int:
             shrink = g / (1.0 + g)
         else:
             a = float(prior["a"])
-            log_bf, shrink = (float(v) for v in hyperg.hyper_g_scores(
-                a, fit.n, fit.p, fit.r2, fit.one_minus_r2))
+            # the band n <= p+a+1 near R^2 = 1 is a k = 1 block integral
+            log_bf, shrink, band, err, evals = (
+                v.item() for v in hyperg._routed_scores(
+                    a, fit.n, fit.p, fit.r2, fit.one_minus_r2))
+            if band:
+                method, error, n_evals = "k1-integral", err, evals
             if fit.n > a + fit.p - 1.0:
                 ig = hyperg.sigma2_limit_hyper_g(hyperg.HyperGPrior(a),
                                                  fit.n, fit.p, fit.sigma2_hat)
                 report["sigma2_limit"] = {"shape": ig.shape,
                                           "scale": ig.scale}
-        mean, method = shrink * fit.beta_hat_ls, "closed-form"
-        error, n_evals = 0.0, 0
+        mean = shrink * fit.beta_hat_ls
     report.update({"log_bf_null": log_bf, "shrinkage": shrink,
                    "posterior_mean": mean, "method": method,
                    "error_estimate": error, "n_evals": n_evals})

@@ -161,6 +161,17 @@ def _kappa(fit: design.FitSummary, i: int) -> tuple[float, float]:
     return float(q[i] / (rss + q[i])), float(rss / (rss + q[i]))
 
 
+def _sweep_posteriors(a: float, part: design.BlockPartition, seq):
+    """The block posteriors of a sweep's fits, stacked into one
+    `blockprior._posteriors` call."""
+    fits = [fit for _, _, fit in seq]
+    return blockprior._posteriors(
+        a, np.tile(part.sizes, (len(fits), 1)),
+        np.array([fit.n for fit in fits]),
+        np.array([fit.r2_blocks for fit in fits]),
+        np.array([fit.one_minus_r2 for fit in fits]))
+
+
 def run_els_experiment(spec: SequenceSpec) -> ExperimentResult:
     """Shrinkage collapse onto least squares as the signal block grows.
 
@@ -175,7 +186,6 @@ def run_els_experiment(spec: SequenceSpec) -> ExperimentResult:
             f"least-squares collapse requires n >= a+p-1 = {a + p - 1}")
     res = ExperimentResult(name="els", seed=spec.seed)
     part = spec.base.partition
-    prior = blockprior.BlockHyperGPrior(a, part)
     top = spec.scales[-1]
     bounds_ok, t1_ok, dist_ok = True, True, True
     seq = make_sequence(spec)
@@ -186,21 +196,20 @@ def run_els_experiment(spec: SequenceSpec) -> ExperimentResult:
                       for _, _, fit in seq]).transpose(2, 1, 0)
     sizes = np.array([[p]] + [[size] for size in part.sizes[1:]])
     _, shrink = hyperg.hyper_g_scores(a, n, sizes, *stats)
-    posts = blockprior._block_posteriors([prior] * len(seq),
-                                         [fit for _, _, fit in seq])
-    for (c, d, fit), post, s in zip(seq, posts, shrink.T.tolist()):
+    _, t_means, _, errs, _, _ = _sweep_posteriors(a, part, seq)
+    for (c, _, _), t_mean, err, s in zip(seq, t_means.tolist(),
+                                         errs.tolist(), shrink.T.tolist()):
         res.add(c, "hyperg_rel_distance", 1.0 - s[0])
         if c >= 1e6 and 1.0 - s[0] >= 1e-3:
             dist_ok = False
         for i in range(part.k):
-            res.add(c, f"block_t_mean_{i + 1}", post.t_mean[i],
-                    post.error_estimate)
+            res.add(c, f"block_t_mean_{i + 1}", t_mean[i], err)
             if i >= 1:
                 res.add(c, f"block_t_upper_{i + 1}", s[i])
                 lo = 2.0 / (a + part.sizes[i]) - 1e-3
-                if not (lo <= post.t_mean[i] <= s[i] + 1e-9 and s[i] < 1.0):
+                if not (lo <= t_mean[i] <= s[i] + 1e-9 and s[i] < 1.0):
                     bounds_ok = False
-        if c == top and post.t_mean[0] < 0.999:
+        if c == top and t_mean[0] < 0.999:
             t1_ok = False
     res.verdicts["hyperg_distance_small_at_1e6"] = dist_ok
     res.verdicts["block_t1_to_one"] = t1_ok
@@ -224,7 +233,6 @@ def run_clp_experiment(spec: SequenceSpec) -> ExperimentResult:
         raise PreconditionViolated(
             f"decay regime requires n >= a+p1-1 = {a + p1 - 1}")
     res = ExperimentResult(name="clp", seed=spec.seed)
-    prior = blockprior.BlockHyperGPrior(a, part)
     floor = blockprior.clp_lower_bound(a, p2)
     res.add(0.0, "block_bf_floor", floor)
     seq = make_sequence(spec)
@@ -233,15 +241,14 @@ def run_clp_experiment(spec: SequenceSpec) -> ExperimentResult:
                       for _, _, fit in seq]).T
     log_bf, _ = hyperg.hyper_g_scores(a, n, [[p], [p1]], stats[0::2],
                                       stats[1::2])
-    posts = blockprior._block_posteriors([prior] * len(seq),
-                                         [fit for _, _, fit in seq])
+    block_bf, _, _, errs, _, _ = _sweep_posteriors(a, part, seq)
     hyper_vals, floor_ok = [], True
-    for (c, d, fit), lb_full, lb_m1, post in zip(seq, *log_bf.tolist(),
-                                                  posts):
+    for (c, _, _), lb_full, lb_m1, lb_block, err in zip(
+            seq, *log_bf.tolist(), block_bf.tolist(), errs.tolist()):
         res.add(c, "hyperg_log_bf_ratio", lb_full - lb_m1)
         hyper_vals.append((c, lb_full - lb_m1))
-        ratio = math.exp(post.log_bf_null - lb_m1)
-        res.add(c, "block_bf_ratio", ratio, post.error_estimate)
+        ratio = math.exp(lb_block - lb_m1)
+        res.add(c, "block_bf_ratio", ratio, err)
         if ratio < floor - 1e-4:
             floor_ok = False
     tail = [(c, v) for c, v in hyper_vals if c >= 100.0]

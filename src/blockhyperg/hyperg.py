@@ -152,9 +152,11 @@ def _series_form(a, n, p, omr2) -> tuple[np.ndarray, np.ndarray]:
             (2.0 / (p + a)) * np.exp(log_num - log_den))
 
 
-def _route_table(a: float, n, p, r2, omr2) -> tuple[np.ndarray, np.ndarray]:
+def _route_table(a: float, n, p, r2, omr2) -> tuple[np.ndarray, ...]:
     """Hyper-g log BF and shrinkage over flat arrays of (n, p, R^2, 1-R^2)
     with n >= 1, unchecked; the log BF is meaningful for n > p+1 only.
+    Then, per model, whether the k = 1 integral scored it, and that
+    integral's error estimate and n_evals (0 where it did not).
     Every row is vectorized over its models, and each forms R^2 as
     1 - (1-R^2), so the R^2 array itself is not read:
 
@@ -194,16 +196,18 @@ def _route_table(a: float, n, p, r2, omr2) -> tuple[np.ndarray, np.ndarray]:
     log_bf[finite] = np.log((a - 2.0) / (a + p[finite] - n[finite] - 1.0))
     single = (n == 1) & ~unit
     shrink[single] = 2.0 / (p[single] + a)
-    near = np.flatnonzero(~(closed | unit | series | single))
-    if near.size:
+    near = ~(closed | unit | series | single)
+    error = np.zeros(omr2.shape)
+    n_evals = np.zeros(omr2.shape, dtype=np.int64)
+    if near.any():
+        om = omr2[near]
         ints = block_integrals_gamma1d_batch(
-            [([0.5 * (a + pi) - 2.0], [1.0 - om], om, 0.5 * (ni - 1.0))
-             for ni, pi, om in zip(n[near].tolist(), p[near].tolist(),
-                                   omr2[near].tolist())])
-        log_bf[near] = math.log(0.5 * (a - 2.0)) + np.array(
-            [j.log_i0 for j in ints])
-        shrink[near] = [j.t_mean[0] for j in ints]
-    return log_bf, shrink
+            (0.5 * (a + p[near]) - 2.0)[:, None], (1.0 - om)[:, None], om,
+            0.5 * (n[near] - 1.0))
+        log_bf[near] = math.log(0.5 * (a - 2.0)) + ints.log_i0
+        shrink[near] = ints.t_mean[:, 0]
+        error[near], n_evals[near] = ints.error, ints.n_evals
+    return log_bf, shrink, near, error, n_evals
 
 
 def hyper_g_scores(a: float, n, p, r2, one_minus_r2,
@@ -214,6 +218,14 @@ def hyper_g_scores(a: float, n, p, r2, one_minus_r2,
     Raises DomainError for n <= p+1, or an R^2 or 1-R^2 outside [0, 1],
     before any model is scored, and warns at exact unit R^2 with n in
     [p+a-1, p+a+1], where the +inf log BF is the divergent limit.
+    """
+    return _routed_scores(a, n, p, r2, one_minus_r2)[:2]
+
+
+def _routed_scores(a: float, n, p, r2, one_minus_r2,
+                   ) -> tuple[np.ndarray, ...]:
+    """`hyper_g_scores` with the route table's diagnostics: per model,
+    whether the k = 1 integral scored it, its error estimate and n_evals.
     """
     args = np.broadcast_arrays(np.asarray(n), np.asarray(p),
                                np.asarray(r2, dtype=float),
@@ -229,9 +241,9 @@ def hyper_g_scores(a: float, n, p, r2, one_minus_r2,
     if np.any((omr2 == 0.0) & (n >= a + p - 1.0) & (n <= p + a + 1.0)):
         warnings.warn(
             "exact unit R^2 with n in [p+a-1, p+a+1]: reporting the "
-            "divergent limit", RuntimeWarning, stacklevel=2)
-    log_bf, shrink = _route_table(a, n, p, r2, omr2)
-    return log_bf.reshape(args[0].shape), shrink.reshape(args[0].shape)
+            "divergent limit", RuntimeWarning, stacklevel=3)
+    return tuple(v.reshape(args[0].shape)
+                 for v in _route_table(a, n, p, r2, omr2))
 
 
 def log_bf_hyper_g_stats(a: float, n: int, p: int, r2: float,

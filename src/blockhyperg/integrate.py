@@ -19,12 +19,16 @@ J(0) and the k integrals J(e_i) differ only in one shape each, beta_i or
 beta_i + 1, so all k+1 are one vector-valued integral on one bracket and
 one panel set, and each node's axis takes both of its shapes from one
 incomplete gamma (special.log_inc_gamma_ratio_pair).
-block_integrals_gamma1d_batch takes many models, of mixed k, at once: they
-share every call of the integrand (one incomplete-gamma call for all
-their nodes per bracket scan, end-walk step and quadrature pass) and the
-array bookkeeping of `_quadlog`, and each keeps its own centre, bracket,
-panels, convergence test and node count, so it gets the values it gets
-alone. block_integrals_gamma1d is its batch of one.
+block_integrals_gamma1d_batch takes many models, of mixed k, at once, as
+(M, K) arrays of b_i and rho_i and (M,) arrays of delta and m; a model of
+fewer axes is padded with b_i = rho_i = 0, and an axis with rho_i = 0 is
+inactive. The models share every call of the integrand (one
+incomplete-gamma call for all their nodes per bracket scan, end-walk step
+and quadrature pass) and the array bookkeeping of `_quadlog`; the
+propriety test and the fold of the inactive axes are array steps too.
+Each model keeps its own centre, bracket, panels, convergence test and
+node count, so it gets the values it gets alone, and the results come
+back as arrays. block_integrals_gamma1d is its batch of one.
 Graded-panel tensor Gauss-Legendre (block_integrals_quadrature, k <= 3)
 and randomized scrambled-Sobol QMC (block_integrals_qmc) stay as
 independent references for the tests.
@@ -50,17 +54,18 @@ _QMC_RANDOMIZATIONS = 32
 
 @dataclass(frozen=True)
 class BlockIntegrals:
-    """log J(0), per-axis log J(e_i), and bookkeeping."""
+    """log J(0), per-axis log J(e_i), and bookkeeping: of one model, or
+    from a batch of M, as (M,) arrays and an (M, K) log_i_axis."""
 
-    log_i0: float
+    log_i0: float | np.ndarray
     log_i_axis: np.ndarray
-    error: float
-    n_evals: int
+    error: float | np.ndarray
+    n_evals: int | np.ndarray
     method: str
 
     @property
     def s_mean(self) -> np.ndarray:
-        return np.exp(self.log_i_axis - self.log_i0)
+        return np.exp(self.log_i_axis - np.asarray(self.log_i0)[..., None])
 
     @property
     def t_mean(self) -> np.ndarray:
@@ -84,9 +89,10 @@ def _char_scales(bpow: np.ndarray, rho: np.ndarray, delta: np.ndarray,
     """
     out = []
     for b, r, d, mm in zip(bpow, rho, delta.tolist(), m.tolist()):
-        r = r[r > 0.0]
-        num = (b[:len(r)] + 1.0).tolist()
-        den = (r * np.maximum(mm - b[:len(r)] - 1.0, num)).tolist()
+        act = r > 0.0
+        r, b = r[act], b[act]
+        num = (b + 1.0).tolist()
+        den = (r * np.maximum(mm - b - 1.0, num)).tolist()
         r_f = r.tolist()
         s = np.ones(len(r))
         # iterate to convergence: at tiny delta the fixed point is O(delta),
@@ -206,34 +212,29 @@ def _tensor_pass(bpow: np.ndarray, rho: np.ndarray, delta: float, m: float,
     return log_i0, log_ax, total
 
 
-def _fold_inactive(bpow_all: np.ndarray, active: np.ndarray,
-                   log_i0_act: float, log_ax_act: np.ndarray,
-                   ) -> tuple[float, np.ndarray]:
-    """Reattach axes with rho_i = 0, which separate into Beta-type constants."""
+def _fold_inactive(bpow: np.ndarray, active: np.ndarray, log_i0: np.ndarray,
+                   log_ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reattach the axes with rho_i = 0, which separate into Beta-type
+    constants, to integrals over the active axes: over the last axis of
+    bpow, active and log_ax, whose active entries hold those integrals'
+    log J(e_i)."""
     if active.all():
-        return log_i0_act + 0.0, log_ax_act + 0.0
-    k = len(bpow_all)
-    log_c = np.where(active, 0.0, -np.log(bpow_all + 1.0))
-    base = log_i0_act + float(log_c.sum())
-    log_ax = np.empty(k)
-    ia = 0
-    for i in range(k):
-        if active[i]:
-            log_ax[i] = log_ax_act[ia] + float(log_c.sum())
-            ia += 1
-        else:
-            log_ax[i] = base - math.log(bpow_all[i] + 2.0) + math.log(
-                bpow_all[i] + 1.0)
-    return base, log_ax
+        return log_i0 + 0.0, log_ax + 0.0
+    fold = np.where(active, 0.0, -np.log(bpow + 1.0)).sum(axis=-1)
+    log_i0 = log_i0 + fold
+    return log_i0, np.where(active, log_ax + fold[..., None],
+                            log_i0[..., None] - np.log(bpow + 2.0)
+                            + np.log(bpow + 1.0))
 
 
-def _check_propriety(bpow: np.ndarray, rho: np.ndarray, delta: float,
-                     m: float) -> None:
+def _check_propriety(bpow: np.ndarray, rho: np.ndarray, delta, m) -> None:
     """At delta = 0 the integral is proper iff m < sum(b_i + 1) over the
-    axes with rho_i > 0; the others separate (`_fold_inactive`)."""
+    axes with rho_i > 0; the others separate (`_fold_inactive`). Over the
+    last axis of bpow and rho; raises when any model diverges."""
     active = rho > 0.0
-    if (delta <= 0.0 and active.any()
-            and m >= float((bpow[active] + 1.0).sum())):
+    unit = np.asarray(delta <= 0.0)
+    if unit.any() and (unit & active.any(axis=-1) & (
+            m >= np.where(active, bpow + 1.0, 0.0).sum(axis=-1))).any():
         raise IntegralDiverges(
             "integral diverges at sum R_i^2 = 1 for this (n, a, p)")
 
@@ -262,8 +263,9 @@ def block_integrals_quadrature(bpow: np.ndarray, rho: np.ndarray,
     active = rho > 0.0
     k_act = int(active.sum())
     if k_act == 0:
-        log_i0, log_ax = _fold_inactive(bpow, active, 0.0, np.empty(0))
-        return BlockIntegrals(log_i0, log_ax, 0.0, 0, "quadrature")
+        log_i0, log_ax = _fold_inactive(bpow, active, 0.0,
+                                        np.zeros(len(bpow)))
+        return BlockIntegrals(float(log_i0), log_ax, 0.0, 0, "quadrature")
     ba, ra = bpow[active], rho[active]
     refine = {1: 3.0, 2: 1.4, 3: 0.8}.get(k_act, 0.8)
     if rtol > 1e-7:
@@ -285,8 +287,10 @@ def block_integrals_quadrature(bpow: np.ndarray, rho: np.ndarray,
         raise NoConvergence(
             f"tensor quadrature error estimate {err:.2e} above {fail_at:g} "
             f"after {n1 + n2} evaluations")
-    log_i0, log_ax = _fold_inactive(bpow, active, hi0, hiax)
-    return BlockIntegrals(log_i0, log_ax, err, n1 + n2, "quadrature")
+    log_ax = np.zeros(len(bpow))
+    log_ax[active] = hiax
+    log_i0, log_ax = _fold_inactive(bpow, active, hi0, log_ax)
+    return BlockIntegrals(float(log_i0), log_ax, err, n1 + n2, "quadrature")
 
 
 class _AxisProposal:
@@ -359,8 +363,9 @@ def block_integrals_qmc(bpow: np.ndarray, rho: np.ndarray, delta: float,
     ba, ra = bpow[active], rho[active]
     k = len(ba)
     if k == 0:
-        log_i0, log_ax = _fold_inactive(bpow, active, 0.0, np.empty(0))
-        return BlockIntegrals(log_i0, log_ax, 0.0, 0, "monte-carlo")
+        log_i0, log_ax = _fold_inactive(bpow, active, 0.0,
+                                        np.zeros(len(bpow)))
+        return BlockIntegrals(float(log_i0), log_ax, 0.0, 0, "monte-carlo")
     beta = ba + 1.0
 
     radial_logf = _radial_logf(beta, ra, delta, m)
@@ -400,9 +405,10 @@ def block_integrals_qmc(bpow: np.ndarray, rho: np.ndarray, delta: float,
     scaled = np.exp(means0 - means0.max())
     rel0 = float(np.std(scaled, ddof=1) / np.mean(scaled)
                  / math.sqrt(_QMC_RANDOMIZATIONS))
-    log_i0, log_ax = _fold_inactive(bpow, active, log_i0a,
-                                    np.atleast_1d(log_axa))
-    return BlockIntegrals(log_i0, np.asarray(log_ax), rel0,
+    log_ax = np.zeros(len(bpow))
+    log_ax[active] = log_axa
+    log_i0, log_ax = _fold_inactive(bpow, active, log_i0a, log_ax)
+    return BlockIntegrals(float(log_i0), log_ax, rel0,
                           _QMC_POINTS * _QMC_RANDOMIZATIONS, "monte-carlo")
 
 
@@ -431,9 +437,9 @@ def _radial_logf_columns(beta: np.ndarray, rho: np.ndarray,
     """The integrands of _radial_logf for J(0) and every J(e_i), as K+1
     columns, for M models at once: logf(x, idx) takes each node's model.
 
-    beta and rho are (M, K), a model of fewer axes padded with beta = 1
-    and rho = 0. A padded entry is not evaluated: its log ratio counts as
-    0 at both shapes, so the column it bumps repeats column 0.
+    beta and rho are (M, K). An axis with rho = 0, inactive or padding, is
+    not evaluated: its log ratio counts as 0 at both shapes, so the column
+    it bumps repeats column 0.
     One call of log_inc_gamma_ratio_pair, whatever the batch, gives every
     node's own axes their ratio at beta and at beta + 1: one incomplete
     gamma per active (node, axis). gammaln of both shapes is taken once
@@ -507,56 +513,56 @@ def block_integrals_gamma1d(bpow: np.ndarray, rho: np.ndarray, delta: float,
 
     This is a batch of one of block_integrals_gamma1d_batch.
     """
-    return block_integrals_gamma1d_batch([(bpow, rho, delta, m)],
-                                         rtol=rtol)[0]
+    res = block_integrals_gamma1d_batch(
+        np.asarray(bpow, dtype=float)[None],
+        np.asarray(rho, dtype=float)[None], np.array([delta], dtype=float),
+        np.array([m], dtype=float), rtol=rtol)
+    return BlockIntegrals(float(res.log_i0[0]), res.log_i_axis[0],
+                          float(res.error[0]), int(res.n_evals[0]), res.method)
 
 
-def block_integrals_gamma1d_batch(cases, *, rtol: float = 1e-10,
-                                  ) -> list[BlockIntegrals]:
-    """block_integrals_gamma1d for each (bpow, rho, delta, m) of cases, in
-    one pass: the models' integrals share every call of the integrand, in
-    the bracket scan, its end walk and each quadrature pass, and nothing
-    else. Each model keeps its own bracket, panels, convergence test and
-    inactive axes, and its node count n_evals (its own nodes times its own
-    k+1), so it gets the values it gets alone. Raises when any model
-    does."""
-    out: list[BlockIntegrals | None] = [None] * len(cases)
-    todo = []
-    for j, (bpow, rho, delta, m) in enumerate(cases):
-        bpow = np.asarray(bpow, dtype=float)
-        rho = np.asarray(rho, dtype=float)
-        delta = max(float(delta), 0.0)
-        _check_propriety(bpow, rho, delta, m)
-        active = rho > 0.0
-        if active.any():
-            todo.append((j, bpow, active, rho[active], delta, float(m)))
-        else:
-            log_i0, log_ax = _fold_inactive(bpow, active, 0.0, np.empty(0))
-            out[j] = BlockIntegrals(log_i0, log_ax, 0.0, 0, "gamma1d")
-    if not todo:
-        return out
-    n_ax = np.array([len(c[3]) for c in todo])
-    bpow = np.zeros((len(todo), n_ax.max()))
-    rho = np.zeros(bpow.shape)
-    for r, (_, b, active, ra, _, _) in enumerate(todo):
-        bpow[r, :len(ra)], rho[r, :len(ra)] = b[active], ra
-    delta = np.array([c[4] for c in todo])
-    m = np.array([c[5] for c in todo])
-    nodes = np.zeros(len(todo), dtype=np.int64)
-    radial = _radial_logf_columns(bpow + 1.0, rho, delta, m)
+def block_integrals_gamma1d_batch(bpow: np.ndarray, rho: np.ndarray,
+                                  delta: np.ndarray, m: np.ndarray, *,
+                                  rtol: float = 1e-10) -> BlockIntegrals:
+    """block_integrals_gamma1d for the M models of the (M, K) arrays bpow
+    and rho and the (M,) arrays delta and m, in one pass, as a
+    BlockIntegrals of arrays: log_i0, error and n_evals (M), log_i_axis
+    (M, K). An axis with rho_i = 0 is inactive and separates into a
+    constant; a model of fewer axes is padded with bpow = rho = 0, an
+    inactive axis whose constant 1/(b_i+1) is 1, so it changes nothing and
+    its log_i_axis entry is to be ignored.
 
-    def logf(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        nodes[:] += np.bincount(idx, minlength=len(nodes))
-        return radial(x, idx)
+    The models' integrals share every call of the integrand, in the
+    bracket scan, its end walk and each quadrature pass, and nothing else.
+    Each model keeps its own bracket, panels, convergence test and node
+    count n_evals (its own nodes times its own active axes plus one), so
+    it gets the values it gets alone. The propriety test and the fold of
+    the inactive axes are array steps. Raises when any model does.
+    """
+    delta = np.maximum(delta, 0.0)
+    _check_propriety(bpow, rho, delta, m)
+    active = rho > 0.0
+    n_act = active.sum(axis=1)
+    log_i0 = np.zeros(len(m))
+    log_ax = np.zeros(bpow.shape)
+    error = np.zeros(len(m))
+    n_evals = np.zeros(len(m), dtype=np.int64)
+    live = n_act > 0
+    if live.any():
+        live = slice(None) if live.all() else live  # a view if every row
+        b, r, d, mm = bpow[live], rho[live], delta[live], m[live]
+        nodes = np.zeros(len(mm), dtype=np.int64)
+        radial = _radial_logf_columns(b + 1.0, r, d, mm)
 
-    lo, hi, x_pk = peak_bracket(logf, _radial_center(bpow, rho, delta, m))
-    vals, errs = adaptive_log_integral(logf, lo, hi, rtol=0.1 * rtol,
-                                       seed_points=(x_pk,))
-    log_i0 = vals[:, 0].tolist()
-    err = errs.max(axis=1).tolist()  # a padded column repeats column 0
-    n_evals = (nodes * (n_ax + 1)).tolist()
-    for r, (j, b, active, _, _, _) in enumerate(todo):
-        base, log_ax = _fold_inactive(b, active, log_i0[r],
-                                      vals[r, 1:n_ax[r] + 1])
-        out[j] = BlockIntegrals(base, log_ax, err[r], n_evals[r], "gamma1d")
-    return out
+        def logf(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            nodes[:] += np.bincount(idx, minlength=len(nodes))
+            return radial(x, idx)
+
+        lo, hi, x_pk = peak_bracket(logf, _radial_center(b, r, d, mm))
+        vals, errs = adaptive_log_integral(logf, lo, hi, rtol=0.1 * rtol,
+                                           seed_points=(x_pk,))
+        log_i0[live], log_ax[live] = vals[:, 0], vals[:, 1:]
+        error[live] = errs.max(axis=1)  # an inactive column repeats column 0
+        n_evals[live] = nodes * (n_act[live] + 1)
+    log_i0, log_ax = _fold_inactive(bpow, active, log_i0, log_ax)
+    return BlockIntegrals(log_i0, log_ax, error, n_evals, "gamma1d")

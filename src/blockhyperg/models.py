@@ -296,52 +296,67 @@ def block_subsets_scores(designs, specs: list[ModelSpec], a: float = 3.0,
 
     Each design is factored once, by one QR of [X | y]; only its triangle,
     y'y and means are kept. The rest is stacked over designs and models:
-    one batched QR per block layout for the models' triangles, one SVD per
-    block size for the rank checks, and solves over the models of one
-    layout. Every _SCORE_CHUNK models of all the designs share one batched
-    block posterior (`blockprior._block_posteriors`), whose integrals
-    share their integrand calls; each integral keeps its own bracket,
-    panels and convergence, so a model scores as it does alone. A model
-    whose checks fail raises for the call, as the first check a design
-    fails would raise for it alone.
+    one batched QR per block layout (the models' block sizes, read off
+    their inclusion vectors) for the models' triangles, one SVD per block
+    size for the rank checks, and solves over the models of one layout.
+    The block posteriors take arrays: every _SCORE_CHUNK models of all the
+    designs are rows of one `blockprior._posteriors` call (block sizes,
+    n, block R^2 and 1-R^2), whose integrals share their integrand calls;
+    each integral keeps its own bracket, panels and convergence, so a
+    model scores as it does alone. Each model's shrinkage means go back
+    to its layout's rows by slicing; no fit summary, prior or partition
+    is built per model. A model whose checks fail raises for the call, as
+    the first check a design fails would raise for it alone.
 
     `model_inference` agrees to rounding, except on a design that passes
     `design.check_block_orthogonality` without being exactly orthogonal: it
     then skips orthogonalization and takes raw block projections, which
     differ from these by up to about ORTHO_TOL (1e-8) relative.
     """
-    tris, yty, ns, y_means = [], [], [], []
+    tris, yty, ns = [], [], []
     for d in designs:
         tris.append(design._xy_triangle(d))
         yty.append(float(d.y @ d.y))
         ns.append(d.n)
-        y_means.append(d.y_mean)
     R = np.stack(tris)
     n_designs, p = len(tris), R.shape[-1] - 1
-    # models that share their blocks' sizes share every slice below
+    # models that share their blocks' sizes share every slice below; each
+    # model's columns of X, in block order, and its blocks' sizes come from
+    # its inclusion vector over the parent blocks
     layouts: dict[tuple[int, ...], list[int]] = {}
-    orders = []  # each model's columns of X, in block order
-    priors: list[blockprior.BlockHyperGPrior | None] = []
+    orders = []
     for i, spec in enumerate(specs):
-        if spec.is_null:
-            orders.append([])
-            priors.append(None)
-            continue
-        part = spec.induced_partition
-        orders.append([spec.included[c] for b in part.blocks for c in b])
-        layouts.setdefault(part.sizes, []).append(i)
-        priors.append(blockprior.BlockHyperGPrior(a, part))
-    # per layout: its models and their triangles, (designs, models, ...);
-    # per block size: the residualized blocks, one stack per layout block
-    groups = []
+        kept = [[c for c in b if spec.gamma[c]]
+                for b in spec.partition.blocks]
+        orders.append([c for cols in kept for c in cols])
+        sizes = tuple(len(cols) for cols in kept if cols)
+        if sizes:
+            layouts.setdefault(sizes, []).append(i)
+    # per layout: its models and their triangles, (designs, models, ...),
+    # and one posterior row per (design, model): the block sizes and R^2,
+    # padded to the most blocks with size 0 and R^2 0; per block size: the
+    # residualized blocks, one stack per layout block
+    n = np.array(ns)
+    yty_col = np.array(yty)[:, None, None]
+    width = max(map(len, layouts), default=0)
+    groups, rows = [], []
     blocks: dict[int, list] = {}
     for sizes, idx in layouts.items():
         idx = np.array(idx)
         s = sum(sizes)
         cols = np.array([orders[i] for i in idx])
-        tri, r2, omr2 = design._subset_triangles(R, cols)
-        groups.append((sizes, idx, cols, tri, r2, omr2))
+        tri, _, omr2 = design._subset_triangles(R, cols)
+        groups.append((sizes, idx, cols, tri))
         edges = np.cumsum((0,) + sizes)
+        u = tri[..., :s, s]
+        # y'y = 0 leaves u = 0, so its block R^2s are 0
+        r2_blocks = (np.add.reduceat(u * u, edges[:-1], axis=-1)
+                     / np.where(yty_col > 0, yty_col, 1.0))
+        rho = np.zeros((n_designs * len(idx), width))
+        rho[:, :len(sizes)] = r2_blocks.reshape(-1, len(sizes))
+        rows.append((np.broadcast_to(sizes + (0,) * (width - len(sizes)),
+                                     rho.shape),
+                     np.repeat(n, len(idx)), rho, omr2.ravel()))
         for b, (e0, e1) in enumerate(zip(edges[:-1], edges[1:])):
             blocks.setdefault(e1 - e0, []).append(
                 (tri[..., e0:e1, e0:e1], [(s, i, b) for i in idx]))
@@ -361,51 +376,27 @@ def block_subsets_scores(designs, specs: list[ModelSpec], a: float = 3.0,
         design.rank_check(block, f"residualized block {b + 1}")
     # this one catches an ill-conditioned pair split across two blocks
     design._rank_check_all(R)
-    n = np.array(ns)
-    yty_col = np.array(yty)[:, None, None]
     log_bfs = np.zeros((n_designs, len(specs)))
     means = np.zeros((n_designs, len(specs), p))
-    methods = [["closed-form"] * len(specs) for _ in range(n_designs)]
-    t_means = {}
-    post_priors, fits, scored = [], [], []
-    for sizes, idx, _, tri, r2, omr2 in groups:
-        s = sum(sizes)
-        u = tri[..., :s, s]
-        edges = np.cumsum((0,) + sizes)
-        kappa = np.concatenate(
-            [np.linalg.solve(tri[..., e0:e1, e0:e1], u[..., e0:e1, None])
-             [..., 0] for e0, e1 in zip(edges[:-1], edges[1:])], axis=-1)
-        # y'y = 0 leaves u = 0, so its block R^2s are 0
-        r2_blocks = (np.add.reduceat(u * u, edges[:-1], axis=-1)
-                     / np.where(yty_col > 0, yty_col, 1.0))
-        dof = (n - s - 1)[:, None]
-        sigma2 = np.where(dof > 0, tri[..., s, s] ** 2 / np.maximum(dof, 1),
-                          0.0)
-        r2, omr2, sigma2 = r2.tolist(), omr2.tolist(), sigma2.tolist()
-        for dd in range(n_designs):
-            for j, i in enumerate(idx):
-                post_priors.append(priors[i])
-                fits.append(design.FitSummary(
-                    n=ns[dd], p=s, p_i=sizes, alpha_hat=y_means[dd],
-                    beta_hat_ls=kappa[dd, j], sigma2_hat=sigma2[dd][j],
-                    r2=r2[dd][j], r2_blocks=r2_blocks[dd, j], yty=yty[dd],
-                    one_minus_r2=omr2[dd][j], block_orthogonal=True))
-                scored.append((dd, i))
-    for start in range(0, len(scored), _SCORE_CHUNK):
-        chunk = slice(start, start + _SCORE_CHUNK)
-        posts = blockprior._block_posteriors(post_priors[chunk], fits[chunk],
-                                             rtol=rtol)
-        for (dd, i), post in zip(scored[chunk], posts):
-            log_bfs[dd, i] = post.log_bf_null
-            methods[dd][i] = post.method
-            t_means[dd, i] = post.t_mean
-    for sizes, idx, cols, tri, _, _ in groups:
-        s = sum(sizes)
-        t = np.repeat(np.array([[t_means[dd, i] for i in idx]
-                                for dd in range(n_designs)]), sizes, axis=-1)
+    methods = np.full((n_designs, len(specs)), "closed-form")
+    if rows:
+        # sizes, n, R^2 and 1-R^2, _SCORE_CHUNK rows per call
+        stacked = [np.concatenate(v) for v in zip(*rows)]
+        log_bf, t_all, _, _, _, method = map(np.concatenate, zip(*(
+            blockprior._posteriors(
+                a, *(v[c:c + _SCORE_CHUNK] for v in stacked), rtol=rtol)
+            for c in range(0, len(stacked[1]), _SCORE_CHUNK))))
+    stop = 0
+    for sizes, idx, cols, tri in groups:
+        s, start, stop = sum(sizes), stop, stop + n_designs * len(idx)
+        log_bfs[:, idx] = log_bf[start:stop].reshape(n_designs, len(idx))
+        methods[:, idx] = method[start:stop].reshape(n_designs, len(idx))
+        t = np.repeat(t_all[start:stop, :len(sizes)].reshape(
+            n_designs, len(idx), len(sizes)), sizes, axis=-1)
         means[:, idx[:, None], cols] = np.linalg.solve(
             tri[..., :s, :s], (t * tri[..., :s, s])[..., None])[..., 0]
-    return [(log_bfs[dd], means[dd], methods[dd]) for dd in range(n_designs)]
+    return [(log_bfs[dd], means[dd], methods[dd].tolist())
+            for dd in range(n_designs)]
 
 
 def bma_predict(x_star: np.ndarray, posterior: ModelPosterior,

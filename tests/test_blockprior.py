@@ -11,8 +11,9 @@ import pytest
 
 from blockhyperg import integrate
 from blockhyperg.blockprior import (BlockHyperGPrior, Sigma2Density,
-                                    _block_posteriors,
-                                    _laplace_log_integral, bf_block_hyper_g,
+                                    _laplace_log_integral, _posteriors,
+                                    _sigma2_mean, _sigma2_pieces,
+                                    bf_block_hyper_g,
                                     bf_laplace, clp_lower_bound,
                                     laplace_t_star, log_bf_laplace,
                                     scale_blocks,
@@ -172,38 +173,81 @@ def _summary(n, sizes, r2_blocks, omr2):
 
 
 class TestBatch:
-    """A batch of block posteriors shares its integrand calls and nothing
-    else: every member scores as it does alone."""
+    """The array form of the block posteriors, one call per a, shares its
+    integrand calls and nothing else: every member scores as it does
+    alone."""
 
     MEMBERS = [
         # (a, sizes, n, block R^2, 1-R^2)
         (3.0, (2, 1), 40, (0.5, 0.2), 0.3),
         (3.0, (1, 1, 2), 40, (0.3, 0.1, 0.05), 0.55),  # another k
+        (3.0, (2,), 30, (0.4,), 0.6),  # k = 1, padded next to k = 3
+        (3.0, (1,), 10, (1.0,), 0.0),  # a limit between integrated rows
         (3.0, (1, 2), 40, (0.4, 0.0), 0.6),  # an inactive block
         (3.0, (1, 1), 12, (0.6, 0.4), 1e-300),  # 1-R^2 = 1e-300
         (4.0, (2, 500), 600, (0.3, 0.2), 0.5),  # b_2 = 250
         (3.0, (1, 1), 20, (0.7, 0.3), 0.0),  # the limit sentinel
     ]
 
+    @staticmethod
+    def _scores(members, rtol=1e-7):
+        # one call per a, one row per member, padded with size 0 and R^2 0;
+        # the rows of the results in the order of members
+        out = [None] * len(members)
+        for a in sorted({m[0] for m in members}):
+            rows = [j for j, m in enumerate(members) if m[0] == a]
+            width = max(len(members[j][1]) for j in rows)
+            sizes = np.zeros((len(rows), width), dtype=int)
+            rho = np.zeros((len(rows), width))
+            for r, j in enumerate(rows):
+                _, sz, _, r2, _ = members[j]
+                sizes[r, :len(sz)], rho[r, :len(r2)] = sz, r2
+            res = _posteriors(
+                a, sizes, np.array([members[j][2] for j in rows]), rho,
+                np.array([members[j][4] for j in rows]), rtol=rtol)
+            for r, j in enumerate(rows):
+                out[j] = [v[r] for v in res]
+        return [list(v) for v in zip(*out)]
+
     def test_members_score_as_alone(self):
-        priors = [BlockHyperGPrior(a, BlockPartition.contiguous(sizes))
-                  for a, sizes, *_ in self.MEMBERS]
-        fits = [_summary(n, sizes, r2, omr2)
-                for _, sizes, n, r2, omr2 in self.MEMBERS]
-        batch = _block_posteriors(priors, fits, rtol=1e-10)
+        log_bf, t_mean, s_mean, error, n_evals, method = self._scores(
+            self.MEMBERS, rtol=1e-10)
         refined = 0
-        for prior, fit, got in zip(priors, fits, batch):
+        for j, (a, sizes, n, r2, omr2) in enumerate(self.MEMBERS):
+            prior = BlockHyperGPrior(a, BlockPartition.contiguous(sizes))
+            fit = _summary(n, sizes, r2, omr2)
             alone = bf_block_hyper_g(prior, fit, rtol=1e-10)
-            assert got.method == alone.method
-            assert got.log_bf_null == alone.log_bf_null
-            np.testing.assert_array_equal(got.t_mean, alone.t_mean)
-            assert got.error_estimate == alone.error_estimate
-            assert got.n_evals == alone.n_evals
-            assert got.sigma2_mean == alone.sigma2_mean
+            k = len(sizes)
+            assert method[j] == alone.method
+            assert log_bf[j] == alone.log_bf_null
+            np.testing.assert_array_equal(t_mean[j][:k], alone.t_mean)
+            assert error[j] == alone.error_estimate
+            assert n_evals[j] == alone.n_evals
+            _, rss, _, q = _sigma2_pieces(prior, fit)
+            sigma2 = (None if method[j] == "limit" else
+                      _sigma2_mean(rss, q, s_mean[j][:k], 0.5 * (n - 1)))
+            assert sigma2 == alone.sigma2_mean
             # the scan and the first pass are 61 + 168 nodes per column
-            refined += got.n_evals > 229 * (prior.k + 1)
-        assert batch[-1].method == "limit" and batch[-1].n_evals == 0
+            refined += n_evals[j] > 229 * (k + 1)
+        assert method.count("limit") == 2
+        assert method[3] == method[-1] == "limit"
+        assert n_evals[3] == n_evals[-1] == 0
         assert refined >= 1
+
+    def test_boundary_member_raises_for_the_call(self):
+        # unit R^2 at n = k(a-2)+p+1 = 5: the whole call raises, with the
+        # message the model raises alone
+        edge = (3.0, (1, 1), 5, (0.6, 0.4), 0.0)
+        a, sizes, n, r2, omr2 = edge
+        with pytest.raises(IntegralDiverges) as alone:
+            bf_block_hyper_g(
+                BlockHyperGPrior(a, BlockPartition.contiguous(sizes)),
+                _summary(n, sizes, r2, omr2))
+        members = self.MEMBERS[:3] + [edge] + self.MEMBERS[3:]
+        with pytest.raises(IntegralDiverges) as batch:
+            self._scores(members)
+        assert str(batch.value) == str(alone.value)
+        assert "= 5.0 over" in str(alone.value)
 
 
 class TestDivergenceSentinels:

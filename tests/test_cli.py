@@ -271,6 +271,28 @@ class TestFit:
         assert report["method"] == "closed-form"
         assert report["sigma2_limit"]["shape"] > 0
 
+    def test_hyper_g_band_reports_its_integral(self, tmp_path):
+        # n = 7 <= p+a+1 near R^2 = 1: the route table scores the model
+        # with a k = 1 block integral, and fit.json names that route, with
+        # the integral's own error estimate and node count
+        from blockhyperg import design, hyperg, integrate
+        cfg = self._fit_cfg(tmp_path, {"type": "hyper-g", "a": 3.0})
+        _write_csv(cfg["data"], n=7, noise=1e-6)
+        assert _run(tmp_path, cfg) == EXIT_OK
+        report = json.loads((tmp_path / "fit.json").read_text())
+        fit = design.fit_least_squares(cli._load_design(cfg)[0])
+        assert fit.n <= fit.p + 3.0 + 1.0 and fit.one_minus_r2 < 1e-10
+        res = integrate.block_integrals_gamma1d(
+            [0.5 * (3.0 + fit.p) - 2.0], [1.0 - fit.one_minus_r2],
+            fit.one_minus_r2, 0.5 * (fit.n - 1))
+        log_bf, shrink = hyperg.hyper_g_scores(3.0, fit.n, fit.p, fit.r2,
+                                               fit.one_minus_r2)
+        assert report["method"] == "k1-integral"
+        assert report["error_estimate"] == res.error > 0.0
+        assert report["n_evals"] == res.n_evals > 0
+        assert report["log_bf_null"] == float(log_bf)
+        assert report["shrinkage"] == float(shrink)
+
     def test_fixed_g_report(self, tmp_path):
         cfg = self._fit_cfg(tmp_path, {"type": "fixed-g", "g": 20.0})
         assert _run(tmp_path, cfg) == EXIT_OK

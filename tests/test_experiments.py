@@ -265,10 +265,9 @@ class TestReplicatedRuns:
         from blockhyperg import integrate
         real, sizes = integrate.block_integrals_gamma1d_batch, []
 
-        def counting(cases, *, rtol=1e-10):
-            cases = list(cases)
-            sizes.append(len(cases))
-            return real(cases, rtol=rtol)
+        def counting(bpow, rho, delta, m, *, rtol=1e-10):
+            sizes.append(len(m))
+            return real(bpow, rho, delta, m, rtol=rtol)
         monkeypatch.setattr(integrate, "block_integrals_gamma1d_batch",
                             counting)
         monkeypatch.setattr(models, "_SCORE_CHUNK", 8)

@@ -396,6 +396,44 @@ class TestBlockSubsetsTriangle:
             block_subsets_scores([good, d], specs)
         assert str(batch.value) == str(alone.value)
 
+    def test_no_fit_summary_or_prior_per_model(self, monkeypatch):
+        # a search over 4 designs and a prediction experiment score their
+        # block posteriors as arrays: they construct no FitSummary and no
+        # BlockHyperGPrior, and each design scores bitwise as it does in a
+        # one-design call
+        from blockhyperg import blockprior, experiments, models
+        built = {"FitSummary": 0, "BlockHyperGPrior": 0}
+        for cls in (design.FitSummary, blockprior.BlockHyperGPrior):
+            def counting(self, *args, _real=cls.__init__,
+                         _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _real(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        real, calls = models.block_subsets_scores, []
+
+        def keep(designs, specs, a=3.0, *, rtol=1e-7):
+            designs = list(designs)
+            out = real(designs, specs, a, rtol=rtol)
+            calls.append((designs, specs, a, rtol, out))
+            return out
+        monkeypatch.setattr(models, "block_subsets_scores", keep)
+        designs = [_design(n=n, sizes=(2, 1, 2),
+                           beta=(1.0, -0.8, 0.5, 0.0, 0.3), seed=seed)
+                   for seed, n in enumerate((12, 40, 100, 400))]
+        keep(designs, enumerate_models(designs[0].partition,
+                                       "block-subsets"))
+        experiments.run_prediction_consistency(n_schedule=(100, 400),
+                                               replicates=2)
+        assert built == {"FitSummary": 0, "BlockHyperGPrior": 0}
+        assert [len(c[0]) for c in calls] == [4, 4]
+        for designs, specs, a, rtol, out in calls:
+            for d, (log_bfs, means, methods) in zip(designs, out):
+                (one_bfs, one_means, one_methods), = real([d], specs, a,
+                                                          rtol=rtol)
+                assert methods == one_methods
+                np.testing.assert_array_equal(log_bfs, one_bfs)
+                np.testing.assert_array_equal(means, one_means)
+
     def test_search_shares_its_integrand_calls(self, monkeypatch):
         # seven models of one to three blocks: one bracket scan and one
         # quadrature pass for the whole search, each a single call of the
