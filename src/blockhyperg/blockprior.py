@@ -208,30 +208,14 @@ def laplace_t_star(b: np.ndarray, r: np.ndarray, m: float) -> LaplacePoint:
     if np.any(r == 0.0) or np.any(t_star <= 0.0) or np.any(t_star >= 1.0):
         raise OutOfInterior(
             f"maximizer not interior: t*={np.array2string(t_star, precision=4)}")
-    k = len(b)
     c = (m - bsum) ** 2 / (1.0 - rsum) ** 2
-    hess = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                hess[i, j] = -c * r[i] ** 2 * (1.0 / b[i] - 1.0 / m)
-            else:
-                hess[i, j] = c * r[i] * r[j] / m
+    hess = np.outer(c * r, r) / m
+    # float_power takes pow per entry, as a scalar r_i ** 2 does; an
+    # array's r ** 2 multiplies instead, which can differ in the last bit
+    np.fill_diagonal(hess, -c * np.float_power(r, 2) * (1.0 / b - 1.0 / m))
     log_height = float(b @ np.log1p(-t_star)
                        - m * math.log1p(-float(t_star @ r)))
     return LaplacePoint(t_star=t_star, hessian=hess, log_height=log_height)
-
-
-def _laplace_raw(b: np.ndarray, r: np.ndarray, m: float,
-                 ) -> tuple[float, LaplacePoint]:
-    """Plain Laplace value of log int prod (1-t_i)^(b_i) (1-t.r)^(-m) dt
-    for strictly positive exponents (no small-a adjustment)."""
-    point = laplace_t_star(b, r, m)
-    sign, logdet = np.linalg.slogdet(-point.hessian)
-    if sign <= 0:
-        raise OutOfInterior("negated Hessian not positive definite")
-    return (point.log_height + 0.5 * len(b) * math.log(2.0 * math.pi)
-            - 0.5 * float(logdet)), point
 
 
 def _laplace_log_integral(a: float, p_i: np.ndarray, r: np.ndarray,
@@ -254,7 +238,12 @@ def _laplace_log_integral(a: float, p_i: np.ndarray, r: np.ndarray,
                 "Laplace point, use full integration")
         adj = single & (b <= 0.0)
         b = np.where(adj, 0.5 * (a + p_i + 1.0) - 2.0, b)
-    val, point = _laplace_raw(b, r, m)
+    point = laplace_t_star(b, r, m)
+    sign, logdet = np.linalg.slogdet(-point.hessian)
+    if sign <= 0:
+        raise OutOfInterior("negated Hessian not positive definite")
+    val = (point.log_height + 0.5 * len(b) * math.log(2.0 * math.pi)
+           - 0.5 * float(logdet))
     if np.any(adj):
         val += float(-0.5 * np.log1p(-point.t_star[adj]).sum())
     return val

@@ -346,9 +346,6 @@ def run_selection_consistency(n_schedule=(100, 400, 1600),
     specs = [models.ModelSpec.from_gamma(
                  [int(c in cols) for c in range(pool.p)], pool)
              for cols in SELECTION_CASES.values()]
-    medians: dict[str, list[float]] = {k: [] for k in SELECTION_CASES
-                                       if k != "truth"}
-    iqrs: dict[str, list[float]] = {k: [] for k in medians}
 
     def draws():
         for n in n_schedule:
@@ -360,27 +357,25 @@ def run_selection_consistency(n_schedule=(100, 400, 1600),
     # every replicate of every n in one call; medians over replicates only
     # need ~1e-3, and 1e-4 keeps the integrals cheap
     scores = models.block_subsets_scores(draws(), specs, a, rtol=1e-4)
-    for i_n, n in enumerate(n_schedule):
-        samples: dict[str, list[float]] = {k: [] for k in medians}
-        for rep in range(replicates):
-            log_bfs = scores[i_n * replicates + rep][0]
-            lb = dict(zip(SELECTION_CASES, log_bfs))
-            for name in samples:
-                samples[name].append(lb[name] - lb["truth"])
-        for name, vals in samples.items():
-            arr = np.asarray(vals)
-            med = float(np.median(arr))
-            q1, q3 = np.percentile(arr, [25, 75])
-            medians[name].append(med)
-            iqrs[name].append(float(q3 - q1))
-            res.add(n, f"{name}_median_log_bf", med, float(q3 - q1))
+    # each case's log BF against the truth's, as (n, replicate, case)
+    log_bfs = np.array([lb for lb, _, _ in scores]).reshape(
+        len(n_schedule), replicates, len(SELECTION_CASES))
+    diffs = log_bfs[..., 1:] - log_bfs[..., :1]
+    medians = np.median(diffs, axis=1)
+    q1, q3 = np.percentile(diffs, [25, 75], axis=1)
+    iqrs = q3 - q1
+    names = list(SELECTION_CASES)[1:]
+    for n, row_med, row_iqr in zip(n_schedule, medians, iqrs):
+        for name, med, iqr in zip(names, row_med, row_iqr):
+            res.add(n, f"{name}_median_log_bf", med, iqr)
     for name in ("case1_missing_block", "case2a_extra_in_blocks",
                  "case2b_extra_and_new"):
-        res.verdicts[f"{name}_below_-5"] = medians[name][-1] < -5.0
-    drift = abs(medians["case2c_new_block_only"][-1]
-                - medians["case2c_new_block_only"][-2])
-    res.verdicts["case2c_bounded_drift"] = drift <= 2.0
-    res.verdicts["case2c_iqr_in_band"] = iqrs["case2c_new_block_only"][-1] <= 8.0
+        res.verdicts[f"{name}_below_-5"] = bool(
+            medians[-1, names.index(name)] < -5.0)
+    j2c = names.index("case2c_new_block_only")
+    drift = abs(medians[-1, j2c] - medians[-2, j2c])
+    res.verdicts["case2c_bounded_drift"] = bool(drift <= 2.0)
+    res.verdicts["case2c_iqr_in_band"] = bool(iqrs[-1, j2c] <= 8.0)
     return res
 
 
@@ -415,19 +410,17 @@ def run_prediction_consistency(n_schedule=(100, 400, 1600),
                 yield d
     # every replicate of every n in one call
     scores = models.block_subsets_scores(draws(), specs, a, rtol=1e-4)
-    meds = []
-    for i_n, n in enumerate(n_schedule):
-        errs = []
-        for rep in range(replicates):
-            j = i_n * replicates + rep
-            log_bfs, means, _ = scores[j]
-            posterior = models.posterior_model_probs(specs, log_bfs)
-            pred = models.bma_predict(x_star, posterior, means, *centres[j])
-            errs.append(abs(pred - truth_val))
-        med = float(np.median(errs))
-        meds.append(med)
-        res.add(n, "median_abs_error", med,
-                float(np.percentile(errs, 75) - np.percentile(errs, 25)))
+    errs = np.empty(len(scores))
+    for j, (log_bfs, means, _) in enumerate(scores):
+        posterior = models.posterior_model_probs(specs, log_bfs)
+        pred = models.bma_predict(x_star, posterior, means, *centres[j])
+        errs[j] = abs(pred - truth_val)
+    # (n, replicate)
+    errs = errs.reshape(len(n_schedule), replicates)
+    meds = np.median(errs, axis=1).tolist()
+    q1, q3 = np.percentile(errs, [25, 75], axis=1)
+    for n, med, iqr in zip(n_schedule, meds, q3 - q1):
+        res.add(n, "median_abs_error", med, iqr)
     halving = all(meds[i] / max(meds[i + 1], 1e-300) >= 1.0
                   and meds[i] / max(meds[i + 1], 1e-300) <= 4.0
                   for i in range(len(meds) - 1))

@@ -31,7 +31,9 @@ node count, so it gets the values it gets alone, and the results come
 back as arrays. block_integrals_gamma1d is its batch of one.
 Graded-panel tensor Gauss-Legendre (block_integrals_quadrature, k <= 3)
 and randomized scrambled-Sobol QMC (block_integrals_qmc) stay as
-independent references for the tests.
+references for the tests. The tensor one is independent of the gamma
+mixture; the QMC one shares its incomplete-gamma evaluator
+(special.log_inc_gamma_ratio).
 """
 
 from __future__ import annotations

@@ -6,21 +6,27 @@ Gauss series all-positive and the Euler integral
 
     2F1(a,b;c;z) = [1/B(b, c-b)] * int_0^1 t^{b-1} (1-t)^{c-b-1} (1-t z)^{-a} dt
 
-finite. Two independent evaluation routes are kept: the scaled power series
-(Kahan-compensated) and adaptive quadrature of the Euler integral carried out
-in log space so values far beyond double range remain usable through
-hyp2f1_log. The series also runs elementwise over arrays, and each entry
-stops at the first span of terms whose bounded tail is negligible. The
-quadrature runs in the logistic coordinate t = 1/(1+e^-u), where the
-integrand t^b (1-t)^(c-b) ((1-t) + t(1-z))^-a has straight exponential
-tails at both ends and takes 1-z exactly. Its interval comes from
+finite. `log_series_2f1` sums the scaled power series (Kahan-compensated)
+elementwise over arrays, and each entry stops at the first span of terms
+whose bounded tail is negligible. `hyp2f1_log` takes the series where
+`takes_series` holds and otherwise integrates the Euler integral in log
+space, so values far beyond double range remain usable. The quadrature
+runs in the logistic coordinate t = 1/(1+e^-u), where the integrand
+t^b (1-t)^(c-b) ((1-t) + t(1-z))^-a has straight exponential tails at both
+ends and takes 1-z exactly. Its interval comes from
 `_quadlog.peak_bracket`, the one bracket of every 1-D integral here.
 
 The hyper-g Bayes factor and shrinkage take neither `hyp2f1_log` nor the
 Euler quadrature. `hyperg` evaluates them in closed form through the
-incomplete beta function at R^2 >= 1/2 when n > p+a+1, sums this series
-elsewhere wherever hyp2f1_log would (`takes_series`), and takes the k = 1
-block integral of `integrate` where hyp2f1_log would integrate.
+incomplete beta function at R^2 >= 1/2 when n > p+a+1, sums the series
+where `takes_series` holds, and takes the k = 1 block integral of
+`integrate` elsewhere. No library code calls `hyp2f1_log`; perfbench's
+trace wraps it, and the tests check it against mpmath and against the
+dual-route forms in `tests/gquad.py`.
+
+The incomplete-gamma ratio has one routing table,
+`log_inc_gamma_ratio_pair`'s, which gives the ratio at beta and at beta+1
+for one incomplete gamma; `log_inc_gamma_ratio` is its first value.
 """
 
 from __future__ import annotations
@@ -34,9 +40,8 @@ from ._quadlog import adaptive_log_integral, peak_bracket
 from .errors import DomainError, NoConvergence
 
 _SERIES_BUDGET = 2_000_000
-_LOG_HUGE = 700.0
-# log_inc_gamma_ratio takes scipy's gammainc up to this shape and down to
-# this value; beyond either the series is the more accurate route
+# the lower side of the ratio takes scipy's gammainc up to this shape and
+# down to this value; beyond either the series is the more accurate route
 _GAMMAINC_MAX_SHAPE = 30.0
 _GAMMAINC_FLOOR = 1e-30
 
@@ -57,9 +62,10 @@ def _series_terms_estimate(a, b, c, z):
 
 
 def takes_series(a, b, c, z):
-    """Whether hyp2f1_log sums the series for 2F1(a, b; c; z), elementwise:
-    at z <= 0.95, and where the series needs at most 60,000 terms. It
-    integrates the Euler integral elsewhere."""
+    """Whether the Gauss series is the route for 2F1(a, b; c; z),
+    elementwise: at z <= 0.95, and where it needs at most 60,000 terms.
+    `hyperg` sums it there, and so does `hyp2f1_log`, which integrates the
+    Euler integral elsewhere."""
     return (z <= 0.95) | (_series_terms_estimate(a, b, c, z) <= 60_000)
 
 
@@ -186,49 +192,6 @@ def hyp2f1_log(a: float, b: float, c: float, z: float,
     return _log_euler_quad(a, b, c, delta) - _log_beta(b, c - b)
 
 
-def hyp2f1(a: float, b: float, c: float, z: float) -> float:
-    """Dual-route 2F1: power series cross-checked against Euler quadrature.
-
-    Raises NoConvergence when the two routes disagree beyond 1e-8 relative,
-    when z > 1-1e-12 in the divergent regime a+b-c > 0, or when the value
-    overflows doubles (use hyp2f1_log there).
-    """
-    _validate(a, b, c, z)
-    if a + b - c > 0 and z > 1.0 - 1e-12:
-        raise NoConvergence(
-            "z too close to 1 in the divergent regime; use hyp2f1_near1_scaled "
-            "or hyp2f1_log")
-    if z == 0.0:
-        return 1.0
-    delta = 1.0 - z
-    log_quad = _log_euler_quad(a, b, c, delta) - _log_beta(b, c - b)
-    if _series_terms_estimate(a, b, c, z) <= 500_000:
-        log_primary = log_series_2f1(a, b, c, z)
-    else:
-        # series infeasible: check against the quadrature at rtol 1e-13
-        log_primary = (_log_euler_quad(a, b, c, delta, rtol=1e-13)
-                       - _log_beta(b, c - b))
-    if abs(log_primary - log_quad) > 1e-8:
-        raise NoConvergence(
-            f"2F1 routes disagree: series={log_primary}, quad={log_quad}")
-    log_val = log_primary if z <= 0.95 else log_quad
-    if log_val > _LOG_HUGE:
-        raise NoConvergence("2F1 value overflows double range; use hyp2f1_log")
-    return math.exp(log_val)
-
-
-def hyp2f1_near1_scaled(a: float, b: float, c: float, z: float,
-                        one_minus_z: float | None = None) -> float:
-    """(1-z)^(a+b-c) * 2F1(a,b;c;z); finite as z -> 1 when a+b-c > 0."""
-    if a + b - c <= 0:
-        raise DomainError("scaled form requires a + b - c > 0")
-    delta = 1.0 - z if one_minus_z is None else one_minus_z
-    if delta <= 0:
-        raise DomainError("need z < 1")
-    return math.exp((a + b - c) * math.log(delta)
-                    + hyp2f1_log(a, b, c, z, one_minus_z=delta))
-
-
 def _series_log_ratio(beta, y) -> np.ndarray:
     """log_inc_gamma_ratio by the series sum_k y^k / (beta (beta+1) ...
     (beta+k)), summed directly, over 1-D arrays. Its terms fall from the
@@ -252,7 +215,11 @@ def _series_log_ratio(beta, y) -> np.ndarray:
 def _lower_log_ratio(beta, y, log_y, lg) -> np.ndarray:
     """log_inc_gamma_ratio over 1-D arrays of entries with y < beta + 1,
     given log y and gammaln(beta): lg + log gammainc(beta, y) - beta log y
-    where beta <= 30 and gammainc is above 1e-30, the series elsewhere."""
+    where beta <= 30 and gammainc is above 1e-30, the series elsewhere.
+    The subtraction in the gammainc form loses digits in proportion to
+    |log gammainc| and to beta: about 1e-14 absolute at the two limits,
+    against 1e-12 at beta = 650. Below the floor (y = 0 included) the
+    series needs at most about a dozen terms."""
     out = np.empty(beta.shape)
     idx = (beta <= _GAMMAINC_MAX_SHAPE).nonzero()[0]
     bg = beta.take(idx)
@@ -267,38 +234,6 @@ def _lower_log_ratio(beta, y, log_y, lg) -> np.ndarray:
     return out
 
 
-def log_inc_gamma_ratio(beta, x) -> np.ndarray:
-    """log[gamma(beta, x) / x^beta] = log int_0^1 s^(beta-1) e^(-x s) ds,
-    elementwise over broadcast arrays with beta > 0 and x >= 0.
-
-    The route follows from each entry:
-    - x >= beta+1: the upper tail gammaincc is small enough for log1p;
-    - x < beta+1 with beta <= 30: gammaln(beta) + log gammainc(beta, x)
-      minus beta log x, while gammainc is above 1e-30;
-    - every other entry: the series (`_series_log_ratio`).
-    The subtraction in the gammainc form loses digits in proportion to
-    |log gammainc| and to beta: about 1e-14 absolute at the two limits,
-    against 1e-12 at beta = 650. Below the floor (x = 0 included) the
-    series needs at most about a dozen terms.
-    log_inc_gamma_ratio_pair gives the ratio at beta and beta+1 for the
-    cost of one.
-    """
-    beta, x = np.broadcast_arrays(np.asarray(beta, dtype=float),
-                                  np.asarray(x, dtype=float))
-    shape = beta.shape
-    beta, x = beta.ravel(), x.ravel()
-    out = np.empty(beta.shape)
-    up = x >= beta + 1.0
-    bh, xh = beta[up], x[up]
-    out[up] = (gammaln(bh) + np.log1p(-gammaincc(bh, xh))
-               - bh * np.log(xh))
-    low = ~up
-    bl, xl = beta[low], x[low]
-    with np.errstate(divide="ignore"):
-        out[low] = _lower_log_ratio(bl, xl, np.log(xl), gammaln(bl))
-    return out.reshape(shape)
-
-
 def log_inc_gamma_ratio_pair(beta, y, log_y, lg0, lg1,
                              ) -> tuple[np.ndarray, np.ndarray]:
     """log_inc_gamma_ratio at beta and at beta+1, over 1-D arrays with
@@ -309,9 +244,9 @@ def log_inc_gamma_ratio_pair(beta, y, log_y, lg0, lg1,
     whose terms are all positive (DLMF 8.8):
     - y >= beta+1: Q = gammaincc(beta, y), and Q(beta+1, y) = Q +
       y^beta e^-y / Gamma(beta+1); both go through log1p(-Q);
-    - y < beta+1: the lower routes of log_inc_gamma_ratio at beta+1, and
-      the ratio at beta from F(beta) = (e^-y + y F(beta+1)) / beta, where
-      F = e^ratio.
+    - y < beta+1: `_lower_log_ratio` at beta+1 (gammainc, or the series),
+      and the ratio at beta from F(beta) = (e^-y + y F(beta+1)) / beta,
+      where F = e^ratio.
     y = inf with a finite log y gives the limit gammaln - shape log y on
     both shapes, and y = 0 with log y = -inf gives -log of each shape.
     """
@@ -333,3 +268,18 @@ def log_inc_gamma_ratio_pair(beta, y, log_y, lg0, lg1,
     # 2 + sqrt(2 beta) at y = beta+1, so the exp cannot overflow
     r0[il] = np.log1p(np.exp(lyl + r1l + yl)) - yl - np.log(b)
     return r0, r1
+
+
+def log_inc_gamma_ratio(beta, x) -> np.ndarray:
+    """log[gamma(beta, x) / x^beta] = log int_0^1 s^(beta-1) e^(-x s) ds,
+    elementwise over broadcast arrays with beta > 0 and x >= 0: the first
+    value of log_inc_gamma_ratio_pair, for callers that hold no log x or
+    gammaln of their own."""
+    beta, x = np.broadcast_arrays(np.asarray(beta, dtype=float),
+                                  np.asarray(x, dtype=float))
+    shape = beta.shape
+    beta, x = beta.ravel(), x.ravel()
+    with np.errstate(divide="ignore"):
+        log_x = np.log(x)
+    return log_inc_gamma_ratio_pair(beta, x, log_x, gammaln(beta),
+                                    gammaln(beta + 1.0))[0].reshape(shape)

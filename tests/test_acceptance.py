@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from gquad import log_bf_hyper_g_gquad
+from gquad import hyp2f1_near1_scaled, log_bf_hyper_g_gquad
 
 from blockhyperg import integrate
 from blockhyperg.blockprior import (BlockHyperGPrior, bf_block_hyper_g,
@@ -22,8 +22,7 @@ from blockhyperg.experiments import (run_clp_experiment,
                                      run_selection_consistency,
                                      sigma2_limit_check, standard_sequence)
 from blockhyperg.hyperg import log_bf_hyper_g_stats, shrinkage_hyper_g_stats
-from blockhyperg.special import (hyp2f1_log, hyp2f1_near1_scaled,
-                                 log_series_2f1)
+from blockhyperg.special import hyp2f1_log, log_series_2f1
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:

@@ -353,6 +353,27 @@ class TestLaplace:
                 assert point.hessian[i, j] == pytest.approx(num, rel=1e-4,
                                                             abs=1e-6)
 
+    def test_hessian_is_the_entrywise_formula(self):
+        # the array Hessian against its formula entry by entry in scalars,
+        # bit for bit: c r_i r_j / m off the diagonal, -c r_i^2 (1/b_i -
+        # 1/m) on it, with c = (m - sum b)^2 / (1 - sum r)^2
+        rng = np.random.default_rng(23)
+        for _ in range(400):
+            k = int(rng.integers(1, 7))
+            b = rng.uniform(0.3, 3.0, k)
+            r = rng.dirichlet(np.ones(k + 1))[:k] * rng.uniform(0.9, 1.0)
+            m = float(rng.uniform(10.0, 2000.0))
+            try:
+                point = laplace_t_star(b, r, m)
+            except OutOfInterior:
+                continue
+            c = (m - float(b.sum())) ** 2 / (1.0 - float(r.sum())) ** 2
+            for i in range(k):
+                for j in range(k):
+                    want = (-c * r[i] ** 2 * (1.0 / b[i] - 1.0 / m)
+                            if i == j else c * r[i] * r[j] / m)
+                    assert point.hessian[i, j] == want, (b, r, m, i, j)
+
     def test_t_star_leaves_interior(self):
         with pytest.raises(OutOfInterior):
             laplace_t_star(np.array([2.0]), np.array([0.01]), 30.0)

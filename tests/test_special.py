@@ -6,13 +6,13 @@ import mpmath
 import numpy as np
 import oracles
 import pytest
+from gquad import hyp2f1, hyp2f1_near1_scaled
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from blockhyperg.errors import DomainError, NoConvergence
-from blockhyperg.special import (hyp2f1, hyp2f1_log, hyp2f1_near1_scaled,
-                                 log_inc_gamma_ratio,
+from blockhyperg.special import (hyp2f1_log, log_inc_gamma_ratio,
                                  log_inc_gamma_ratio_pair, log_series_2f1)
 
 mpmath.mp.dps = 40
@@ -259,6 +259,27 @@ def test_inc_gamma_ratio_pair_matches_mpmath_at_both_shapes():
             want = np.vectorize(_mp_log_ratio)(shape, x)
         scale = np.maximum(1.0, np.abs(shape * np.log(x)))
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_inc_gamma_ratio_is_the_pairs_first_value():
+    # one routing table for the ratio: the single form is the pair's first
+    # value bit for bit, over the grid of
+    # test_inc_gamma_ratio_pair_matches_mpmath_at_both_shapes, whether it
+    # gets arrays, floats or 0-d arrays
+    beta = np.concatenate([np.geomspace(0.05, 1000.0, 23),
+                           [29.0, 29.5, 30.0, 30.5, 31.0]])[:, None]
+    x = np.concatenate([np.broadcast_to(np.geomspace(1e-12, 1e4, 31),
+                                        (len(beta), 31)),
+                        beta + [1.0, 1.25, 1.5, 1.75, 2.0 - 1e-9]], axis=1)
+    want, _ = _ratio_pair(beta, x)
+    got = log_inc_gamma_ratio(beta, x)
+    assert got.shape == want.shape == (28, 36)
+    np.testing.assert_array_equal(got, want)
+    for b, y, w in zip(np.broadcast_to(beta, x.shape).ravel(), x.ravel(),
+                       want.ravel()):
+        for one in (log_inc_gamma_ratio(float(b), float(y)),
+                    log_inc_gamma_ratio(np.array(b), np.array(y))):
+            assert one.shape == () and float(one) == w, (b, y)
 
 
 @pytest.mark.parametrize("beta", [0.3, 2.0, 29.0, 29.5, 30.0, 30.5, 31.0,
