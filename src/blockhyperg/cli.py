@@ -276,7 +276,7 @@ def cmd_select(cfg: dict) -> int:
     posterior, means, methods = models.evaluate_model_space(d, mode, a=a)
     # rows in report order, each built once; the writer converts means[i]
     order = np.argsort(-posterior.post_prob, kind="stable")
-    bits = np.array([m.gamma for m in posterior.models], np.uint8)[order]
+    bits = posterior.gammas[order]
     ids = (bits + ord("0")).view(f"S{d.p}").ravel().astype(str)
     rows = [{"model_id": model_id, "gamma_bits": gamma, "log_bf_null": lb,
              "post_prob": prob, "method": methods[i],

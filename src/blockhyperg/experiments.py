@@ -343,9 +343,8 @@ def run_selection_consistency(n_schedule=(100, 400, 1600),
     _check_budget(n_schedule, replicates)
     res = ExperimentResult(name="selection", seed=seed)
     pool = design.BlockPartition.contiguous(SELECTION_POOL)
-    specs = [models.ModelSpec.from_gamma(
-                 [int(c in cols) for c in range(pool.p)], pool)
-             for cols in SELECTION_CASES.values()]
+    gammas = np.array([[int(c in cols) for c in range(pool.p)]
+                       for cols in SELECTION_CASES.values()], np.uint8)
 
     def draws():
         for n in n_schedule:
@@ -356,7 +355,7 @@ def run_selection_consistency(n_schedule=(100, 400, 1600),
                 yield design.center_design(X, y, pool)
     # every replicate of every n in one call; medians over replicates only
     # need ~1e-3, and 1e-4 keeps the integrals cheap
-    scores = models.block_subsets_scores(draws(), specs, a, rtol=1e-4)
+    scores = models.block_subsets_scores(draws(), gammas, pool, a, rtol=1e-4)
     # each case's log BF against the truth's, as (n, replicate, case)
     log_bfs = np.array([lb for lb, _, _ in scores]).reshape(
         len(n_schedule), replicates, len(SELECTION_CASES))
@@ -395,7 +394,7 @@ def run_prediction_consistency(n_schedule=(100, 400, 1600),
     x_star = rng0.normal(size=len(PREDICTION_BETA))
     truth_val = PREDICTION_ALPHA + float(x_star @ PREDICTION_BETA)
     partition = design.BlockPartition.contiguous(PREDICTION_POOL)
-    specs = models.enumerate_models(partition, "block-subsets")
+    gammas = models.enumerate_models(partition, "block-subsets")
     centres = []  # each design's (x_means, y_mean), for its prediction
 
     def draws():
@@ -409,10 +408,11 @@ def run_prediction_consistency(n_schedule=(100, 400, 1600),
                 centres.append((d.x_means, d.y_mean))
                 yield d
     # every replicate of every n in one call
-    scores = models.block_subsets_scores(draws(), specs, a, rtol=1e-4)
+    scores = models.block_subsets_scores(draws(), gammas, partition, a,
+                                         rtol=1e-4)
     errs = np.empty(len(scores))
     for j, (log_bfs, means, _) in enumerate(scores):
-        posterior = models.posterior_model_probs(specs, log_bfs)
+        posterior = models.posterior_model_probs(gammas, log_bfs)
         pred = models.bma_predict(x_star, posterior, means, *centres[j])
         errs[j] = abs(pred - truth_val)
     # (n, replicate)

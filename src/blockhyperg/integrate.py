@@ -42,10 +42,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from . import kernels
-from ._quadlog import adaptive_log_integral, gl_rule, peak_bracket
+from ._quadlog import adaptive_log_integral, gl_rule, logsumexp, peak_bracket
 from .errors import DomainError, IntegralDiverges, NoConvergence
 from .special import log_inc_gamma_ratio, log_inc_gamma_ratio_pair
 

@@ -1,11 +1,14 @@
 """Model enumeration, posterior model probabilities, and BMA prediction.
 
-A search scores all of its models from the triangle of [X | y] that a fit
-also reads (`design._xy_triangle`, `design._subset_triangles`): all-subsets
-models with the single-block hyper-g closed forms, block-subsets models
-with the block prior. `model_inference` fits one model on its own,
-from its n rows; it is the per-model reference the tests hold both searches
-to.
+A set of models is the rows of one (M, p) uint8 inclusion matrix, from
+`enumerate_models` through the scores and `ModelPosterior` to the report;
+no search builds an object per model. A search scores all of its models
+from the triangle of [X | y] that a fit also reads (`design._xy_triangle`,
+`design._subset_triangles`): all-subsets models with the single-block
+hyper-g closed forms, block-subsets models with the block prior.
+`ModelSpec` is the one-model view: `model_inference` fits one model on its
+own, from its n rows, and is the per-model reference the tests hold both
+searches to.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ _SCORE_CHUNK = 256  # models per hyper-g or block-posterior scoring call
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Inclusion vector over the p predictors of a parent partition.
+    """One model: its inclusion vector over the p predictors of a parent
+    partition.
 
     The induced partition renumbers the included columns 0..p_gamma-1 while
     keeping the parent block grouping; empty blocks are dropped. It is built
@@ -68,103 +72,90 @@ class ModelSpec:
     def included(self) -> tuple[int, ...]:
         return tuple(i for i, g in enumerate(self.gamma) if g)
 
-    @property
-    def p_gamma(self) -> int:
-        return sum(self.gamma)
-
-    @property
-    def model_id(self) -> str:
-        return "".join(map(str, self.gamma))
-
 
 @dataclass(frozen=True)
 class ModelPosterior:
-    models: tuple[ModelSpec, ...]
+    """Posterior over a set of models: row i of the (M, p) uint8 inclusion
+    matrix `gammas` is model i, and its log BF against the null, prior and
+    posterior probabilities are entry i of the arrays."""
+
+    gammas: np.ndarray
     log_bf_null: np.ndarray
     prior_prob: np.ndarray
     post_prob: np.ndarray
 
-    def top_model(self) -> ModelSpec:
-        return self.models[int(np.argmax(self.post_prob))]
+    def top_model(self) -> np.ndarray:
+        """The inclusion vector of the most probable model."""
+        return self.gammas[int(np.argmax(self.post_prob))]
 
 
 def enumerate_models(partition: design.BlockPartition,
-                     mode: str) -> list[ModelSpec]:
-    """All 2^p single-predictor subsets, or 2^k whole-block subsets, in
+                     mode: str) -> np.ndarray:
+    """All 2^p single-predictor subsets, or 2^k whole-block subsets, as the
+    rows of an (M, p) 0/1 uint8 matrix. Row i is i in binary over the
+    predictors or the blocks, most significant bit first, which is
     `itertools.product((0, 1), repeat=...)` order."""
-    return _model_specs(_model_bits(partition, mode), partition)
-
-
-def _model_bits(partition: design.BlockPartition, mode: str) -> np.ndarray:
-    """The inclusion vectors of `enumerate_models`, as the rows of a 0/1
-    matrix."""
-    if mode == "all-subsets":
-        if partition.p > ALL_SUBSETS_MAX_P:
-            raise BudgetExceeded(
-                f"all-subsets enumeration limited to p <= "
-                f"{ALL_SUBSETS_MAX_P}, got p={partition.p}")
-        return _all_subsets_bits(partition.p)
-    if mode == "block-subsets":
-        keep = _all_subsets_bits(partition.k)
-        bits = np.zeros((len(keep), partition.p), dtype=np.uint8)
-        for bi, block in enumerate(partition.blocks):
-            bits[:, list(block)] = keep[:, bi, None]
-        return bits
-    raise DomainError(f"unknown enumeration mode {mode!r}")
-
-
-def _model_specs(bits: np.ndarray,
-                 partition: design.BlockPartition) -> list[ModelSpec]:
-    return [ModelSpec(gamma=g, partition=partition)
-            for g in map(tuple, bits.tolist())]
-
-
-def _all_subsets_bits(p: int) -> np.ndarray:
-    """The 2^p inclusion vectors as the rows of a 0/1 matrix: row i is i in
-    binary, most significant bit first, which is itertools.product order."""
-    return ((np.arange(2 ** p)[:, None] >> np.arange(p - 1, -1, -1)) & 1
+    if mode not in ("all-subsets", "block-subsets"):
+        raise DomainError(f"unknown enumeration mode {mode!r}")
+    if mode == "all-subsets" and partition.p > ALL_SUBSETS_MAX_P:
+        raise BudgetExceeded(f"all-subsets enumeration limited to p <= "
+                             f"{ALL_SUBSETS_MAX_P}, got p={partition.p}")
+    k = partition.p if mode == "all-subsets" else partition.k
+    bits = ((np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
             ).astype(np.uint8)
+    if mode == "all-subsets":
+        return bits
+    # each block's bit, repeated over its columns
+    order = np.argsort(np.concatenate(partition.blocks))
+    return np.repeat(bits, partition.sizes, axis=1)[:, order]
 
 
-def posterior_model_probs(models: list[ModelSpec],
+def posterior_model_probs(gammas: np.ndarray,
                           log_bfs: np.ndarray,
                           prior: str | np.ndarray = "uniform",
                           ) -> ModelPosterior:
-    """Normalize prior x BF in log-sum-exp arithmetic.
+    """Normalize prior x BF in log-sum-exp arithmetic, over the models that
+    are the rows of the inclusion matrix `gammas`.
 
     +inf log BFs are honored as sentinels: all mass goes to the sentinel
-    holders, split according to the model prior.
+    holders of positive prior, split according to the prior. A prior with
+    a non-finite or negative entry, or no mass, raises DomainError, as does
+    a log BF of -inf on every model of positive prior.
     """
-    if len(models) == 0:
+    gammas = np.asarray(gammas, dtype=np.uint8)
+    if len(gammas) == 0:
         raise EmptyModelList("no models to normalize over")
     log_bfs = np.asarray(log_bfs, dtype=float)
-    if len(log_bfs) != len(models):
+    if len(log_bfs) != len(gammas):
         raise DimensionMismatch("log_bfs length != number of models")
     if isinstance(prior, str):
         if prior != "uniform":
             raise DomainError(f"unknown model prior {prior!r}")
-        prior_prob = np.full(len(models), 1.0 / len(models))
+        prior_prob = np.full(len(gammas), 1.0 / len(gammas))
     else:
         prior_prob = np.asarray(prior, dtype=float)
-        if len(prior_prob) != len(models) or np.any(prior_prob < 0):
+        total = prior_prob.sum()
+        if (len(prior_prob) != len(gammas) or not np.all(prior_prob >= 0)
+                or not 0.0 < total < math.inf):
             raise DomainError("invalid model prior vector")
-        prior_prob = prior_prob / prior_prob.sum()
+        prior_prob = prior_prob / total
     if np.any(np.isnan(log_bfs)):
         raise DomainError("NaN log Bayes factor")
-    inf_mask = np.isinf(log_bfs) & (log_bfs > 0)
-    post = np.zeros(len(models))
+    held = prior_prob > 0
+    inf_mask = np.isinf(log_bfs) & (log_bfs > 0) & held
     if np.any(inf_mask):
-        w = np.where(inf_mask, prior_prob, 0.0)
-        post = w / w.sum()
+        post = np.where(inf_mask, prior_prob, 0.0)
+        post /= post.sum()
     else:
-        logw = np.where(prior_prob > 0, np.log(prior_prob,
-                                               where=prior_prob > 0,
-                                               out=np.full_like(prior_prob,
-                                                                -np.inf)),
-                        -np.inf) + log_bfs
-        post = np.exp(logw - logsumexp(logw))
+        logw = np.full_like(prior_prob, -np.inf)
+        np.log(prior_prob, where=held, out=logw)
+        np.add(logw, log_bfs, where=held, out=logw)
+        log_total = logsumexp(logw)
+        if log_total == -np.inf:
+            raise DomainError("every model with prior mass has log BF -inf")
+        post = np.exp(logw - log_total)
         post = post / post.sum()
-    return ModelPosterior(models=tuple(models), log_bf_null=log_bfs,
+    return ModelPosterior(gammas=gammas, log_bf_null=log_bfs,
                           prior_prob=prior_prob, post_prob=post)
 
 
@@ -197,10 +188,10 @@ def model_inference(d: design.CenteredDesign, spec: ModelSpec,
                                y_mean=d.y_mean, x_means=d.x_means[cols])
     if mode == "all-subsets":
         fit = design.fit_least_squares(ds)
-        log_bf, shrink = hyperg.hyper_g_scores(a, fit.n, fit.p, fit.r2,
-                                               fit.one_minus_r2)
+        log_bf, shrink, band, _, _ = hyperg._routed_scores(
+            a, fit.n, fit.p, fit.r2, fit.one_minus_r2)
         beta = float(shrink) * fit.beta_hat_ls
-        method = "closed-form"
+        method = "k1-integral" if band else "closed-form"
     else:
         T = None
         if not design.check_block_orthogonality(ds):
@@ -229,22 +220,22 @@ def evaluate_model_space(d: design.CenteredDesign, mode: str,
     per-model pass over the n rows; `model_inference` is the per-model
     reference they agree with.
     """
-    bits = _model_bits(d.partition, mode)
-    models = _model_specs(bits, d.partition)
+    gammas = enumerate_models(d.partition, mode)
     if mode == "all-subsets":
-        log_bfs, means = _all_subsets_scores(d, bits, a)
-        methods = ["closed-form"] * len(models)
+        log_bfs, means, methods = _all_subsets_scores(d, gammas, a)
     else:
-        (log_bfs, means, methods), = block_subsets_scores([d], models, a,
-                                                          rtol=rtol)
-    return posterior_model_probs(models, log_bfs), means, methods
+        (log_bfs, means, methods), = block_subsets_scores(
+            [d], gammas, d.partition, a, rtol=rtol)
+    return posterior_model_probs(gammas, log_bfs), means, methods
 
 
 def _all_subsets_scores(d: design.CenteredDesign, gammas: np.ndarray,
-                        a: float) -> tuple[np.ndarray, np.ndarray]:
-    """log BFs and posterior coefficient means of single-block hyper-g
-    models, one per row of the inclusion matrix `gammas`, all from one QR
-    factorization of [X | y] (`design._subset_triangles`).
+                        a: float) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """log BFs, posterior coefficient means and method labels of
+    single-block hyper-g models, one per row of the inclusion matrix
+    `gammas`, all from one QR factorization of [X | y]
+    (`design._subset_triangles`). The models of the band n <= p+a+1 near
+    R^2 = 1 say "k1-integral", the rest "closed-form".
 
     Models of equal size are factored together in batches of _BATCH. The
     hyper-g scores then take _SCORE_CHUNK models of any sizes per call,
@@ -268,22 +259,26 @@ def _all_subsets_scores(d: design.CenteredDesign, gammas: np.ndarray,
             means[idx[:, None], cols] = np.linalg.solve(
                 tri[:, :s, :s], tri[:, :s, s, None])[..., 0]
     log_bfs = np.zeros(len(gammas))
+    band = np.zeros(len(gammas), dtype=bool)
     scored = np.flatnonzero(sizes)
     for start in range(0, len(scored), _SCORE_CHUNK):
         idx = scored[start:start + _SCORE_CHUNK]
-        log_bfs[idx], shrink = hyperg.hyper_g_scores(a, n, sizes[idx],
-                                                     r2[idx], omr2[idx])
+        log_bfs[idx], shrink, band[idx], _, _ = hyperg._routed_scores(
+            a, n, sizes[idx], r2[idx], omr2[idx])
         means[idx] *= shrink[:, None]
-    return log_bfs, means
+    methods = np.where(band, "k1-integral", "closed-form").tolist()
+    return log_bfs, means, methods
 
 
-def block_subsets_scores(designs, specs: list[ModelSpec], a: float = 3.0,
+def block_subsets_scores(designs, gammas: np.ndarray,
+                         partition: design.BlockPartition, a: float = 3.0,
                          *, rtol: float = 1e-7,
                          ) -> list[tuple[np.ndarray, np.ndarray, list[str]]]:
     """log BFs, full-length posterior coefficient means and method labels
-    of block hyper-g models on the induced partitions of `specs`, one
-    triple per design of `designs`: designs that share p and the
-    partition, of any n, read once in order.
+    of block hyper-g models, one per row of the inclusion matrix `gammas`
+    over the blocks of `partition`, each on its induced partition; one
+    triple per design of `designs`: designs of any n that share p and the
+    partition, read once in order.
 
     Take model S's columns in block order. Its triangle
     (`design._subset_triangles`) gives R_S and u = Q_S^T y.
@@ -296,16 +291,17 @@ def block_subsets_scores(designs, specs: list[ModelSpec], a: float = 3.0,
 
     Each design is factored once, by one QR of [X | y]; only its triangle,
     y'y and means are kept. The rest is stacked over designs and models:
-    one batched QR per block layout (the models' block sizes, read off
-    their inclusion vectors) for the models' triangles, one SVD per block
-    size for the rank checks, and solves over the models of one layout.
+    one batched QR per block layout (a model's block sizes, the nonzero
+    entries of its row of the (M, k) block-count matrix) for the models'
+    triangles, one SVD per block size for the rank checks, and solves over
+    the models of one layout.
     The block posteriors take arrays: every _SCORE_CHUNK models of all the
     designs are rows of one `blockprior._posteriors` call (block sizes,
     n, block R^2 and 1-R^2), whose integrals share their integrand calls;
     each integral keeps its own bracket, panels and convergence, so a
     model scores as it does alone. Each model's shrinkage means go back
-    to its layout's rows by slicing; no fit summary, prior or partition
-    is built per model. A model whose checks fail raises for the call, as
+    to its layout's rows by slicing; no model object, fit summary, prior or
+    partition is built per model. A model whose checks fail raises for the call, as
     the first check a design fails would raise for it alone.
 
     `model_inference` agrees to rounding, except on a design that passes
@@ -313,6 +309,9 @@ def block_subsets_scores(designs, specs: list[ModelSpec], a: float = 3.0,
     then skips orthogonalization and takes raw block projections, which
     differ from these by up to about ORTHO_TOL (1e-8) relative.
     """
+    gammas = np.asarray(gammas, dtype=bool)
+    if gammas.shape[1:] != (partition.p,):
+        raise DimensionMismatch(f"gammas {gammas.shape} for p={partition.p}")
     tris, yty, ns = [], [], []
     for d in designs:
         tris.append(design._xy_triangle(d))
@@ -320,16 +319,17 @@ def block_subsets_scores(designs, specs: list[ModelSpec], a: float = 3.0,
         ns.append(d.n)
     R = np.stack(tris)
     n_designs, p = len(tris), R.shape[-1] - 1
-    # models that share their blocks' sizes share every slice below; each
-    # model's columns of X, in block order, and its blocks' sizes come from
-    # its inclusion vector over the parent blocks
+    # with its columns in block order, a row of the inclusion matrix lists
+    # the model's columns of X in block order, and its sums over the parent
+    # blocks are its blocks' sizes; models that share these share every
+    # slice below
+    perm = np.concatenate(partition.blocks)
+    ordered = gammas[:, perm]
+    counts = np.add.reduceat(ordered, np.cumsum((0,) + partition.sizes[:-1]),
+                             axis=1, dtype=int)
     layouts: dict[tuple[int, ...], list[int]] = {}
-    orders = []
-    for i, spec in enumerate(specs):
-        kept = [[c for c in b if spec.gamma[c]]
-                for b in spec.partition.blocks]
-        orders.append([c for cols in kept for c in cols])
-        sizes = tuple(len(cols) for cols in kept if cols)
+    for i, row in enumerate(counts.tolist()):
+        sizes = tuple(c for c in row if c)
         if sizes:
             layouts.setdefault(sizes, []).append(i)
     # per layout: its models and their triangles, (designs, models, ...),
@@ -344,7 +344,7 @@ def block_subsets_scores(designs, specs: list[ModelSpec], a: float = 3.0,
     for sizes, idx in layouts.items():
         idx = np.array(idx)
         s = sum(sizes)
-        cols = np.array([orders[i] for i in idx])
+        cols = perm[np.nonzero(ordered[idx])[1].reshape(len(idx), s)]
         tri, _, omr2 = design._subset_triangles(R, cols)
         groups.append((sizes, idx, cols, tri))
         edges = np.cumsum((0,) + sizes)
@@ -376,9 +376,9 @@ def block_subsets_scores(designs, specs: list[ModelSpec], a: float = 3.0,
         design.rank_check(block, f"residualized block {b + 1}")
     # this one catches an ill-conditioned pair split across two blocks
     design._rank_check_all(R)
-    log_bfs = np.zeros((n_designs, len(specs)))
-    means = np.zeros((n_designs, len(specs), p))
-    methods = np.full((n_designs, len(specs)), "closed-form")
+    log_bfs = np.zeros((n_designs, len(gammas)))
+    means = np.zeros((n_designs, len(gammas), p))
+    methods = np.full((n_designs, len(gammas)), "closed-form")
     if rows:
         # sizes, n, R^2 and 1-R^2, _SCORE_CHUNK rows per call
         stacked = [np.concatenate(v) for v in zip(*rows)]
@@ -409,7 +409,7 @@ def bma_predict(x_star: np.ndarray, posterior: ModelPosterior,
         raise DimensionMismatch(
             f"x_star has shape {x_star.shape}, expected "
             f"({post_means.shape[1]},)")
-    if post_means.shape[0] != len(posterior.models):
+    if post_means.shape[0] != len(posterior.gammas):
         raise DimensionMismatch("one coefficient row per model required")
     xc = x_star - np.asarray(x_means, dtype=float)
     return float(alpha_hat + posterior.post_prob @ (post_means @ xc))

@@ -185,8 +185,9 @@ class TestReplicatedRuns:
         assert case1[-1][1] < -5.0
 
     @staticmethod
-    def _per_model(designs, specs, a=3.0, *, rtol=1e-7):
+    def _per_model(designs, gammas, partition, a=3.0, *, rtol=1e-7):
         # the scorer's signature, each model fitted on its own n rows
+        specs = [models.ModelSpec.from_gamma(g, partition) for g in gammas]
         out = []
         for d in designs:
             rows = [models.model_inference(d, s, "block-subsets", a,
@@ -206,8 +207,9 @@ class TestReplicatedRuns:
         kw = dict(n_schedule=(100, 400), replicates=2, seed=0)
         calls = []
         with monkeypatch.context() as patch:
-            def per_model(designs, specs, a=3.0, *, rtol=1e-7):
-                out = self._per_model(designs, specs, a, rtol=rtol)
+            def per_model(designs, gammas, partition, a=3.0, *, rtol=1e-7):
+                out = self._per_model(designs, gammas, partition, a,
+                                      rtol=rtol)
                 calls.append(len(out))
                 return out
             patch.setattr(models, "block_subsets_scores", per_model)
@@ -239,18 +241,18 @@ class TestReplicatedRuns:
         batches = []
         real = models.block_subsets_scores
 
-        def keep(designs, specs, a=3.0, *, rtol=1e-7):
+        def keep(designs, gammas, partition, a=3.0, *, rtol=1e-7):
             designs = list(designs)
-            out = real(designs, specs, a, rtol=rtol)
-            batches.append((designs, specs, a, rtol, out))
+            out = real(designs, gammas, partition, a, rtol=rtol)
+            batches.append((designs, gammas, partition, a, rtol, out))
             return out
         monkeypatch.setattr(models, "block_subsets_scores", keep)
         run_prediction_consistency(n_schedule=(60, 240), replicates=3,
                                    seed=5)
-        (designs, specs, a, rtol, out), = batches
+        (designs, gammas, part, a, rtol, out), = batches
         assert [d.n for d in designs] == [60] * 3 + [240] * 3
         for d, (log_bfs, means, methods) in zip(designs, out):
-            (one_bfs, one_means, one_methods), = real([d], specs, a,
+            (one_bfs, one_means, one_methods), = real([d], gammas, part, a,
                                                       rtol=rtol)
             assert methods == one_methods
             np.testing.assert_allclose(log_bfs, one_bfs, rtol=1e-13,

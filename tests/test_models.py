@@ -32,8 +32,6 @@ class TestModelSpec:
         spec = ModelSpec.from_gamma([1, 0, 0, 1, 1], part)
         assert spec.included == (0, 3, 4)
         assert spec.induced_partition.blocks == ((0,), (1, 2))
-        assert spec.model_id == "10011"
-        assert spec.p_gamma == 3
 
     def test_null_model(self):
         spec = ModelSpec.from_gamma([0, 0, 0], BlockPartition.single(3))
@@ -48,8 +46,8 @@ class TestEnumeration:
     def test_all_subsets_count(self):
         part = BlockPartition.contiguous((2, 2))
         models = enumerate_models(part, "all-subsets")
-        assert len(models) == 2 ** 4
-        assert len({m.model_id for m in models}) == 2 ** 4
+        assert models.shape == (2 ** 4, 4) and models.dtype == np.uint8
+        assert len({tuple(m) for m in models.tolist()}) == 2 ** 4
 
     def test_block_subsets_count(self):
         part = BlockPartition.contiguous((2, 3, 1))
@@ -58,18 +56,18 @@ class TestEnumeration:
         # every model keeps whole blocks
         for m in models:
             for b in part.blocks:
-                bits = {m.gamma[c] for c in b}
+                bits = {m[c] for c in b}
                 assert len(bits) == 1
 
     def test_all_subsets_product_order(self):
         part = BlockPartition([(0, 3), (1,), (2, 4)])
         models = enumerate_models(part, "all-subsets")
         bits = list(itertools.product((0, 1), repeat=5))
-        assert [m.gamma for m in models] == bits
+        assert [tuple(m) for m in models.tolist()] == bits
+        # a row is a one-model view's inclusion vector
         for m, g in zip(models, bits):
-            ref = ModelSpec.from_gamma(g, part)
-            assert m.induced_partition == ref.induced_partition
-            assert m.is_null == ref.is_null and m.model_id == ref.model_id
+            assert ModelSpec.from_gamma(m, part) == ModelSpec.from_gamma(g,
+                                                                          part)
 
     def test_all_subsets_budget_guard(self):
         part = BlockPartition.single(ALL_SUBSETS_MAX_P + 1)
@@ -90,7 +88,7 @@ class TestPosteriorProbs:
         assert float(post.post_prob.sum()) == pytest.approx(1.0, abs=1e-12)
         w = np.exp(log_bfs)
         np.testing.assert_allclose(post.post_prob, w / w.sum(), rtol=1e-12)
-        assert post.top_model().model_id == "11"
+        assert post.top_model().tolist() == [1, 1]
 
     def test_inf_sentinel_mass(self):
         part = BlockPartition.single(2)
@@ -99,6 +97,33 @@ class TestPosteriorProbs:
         post = posterior_model_probs(models, log_bfs)
         np.testing.assert_allclose(post.post_prob,
                                    [0.0, 0.5, 0.0, 0.5])
+
+    def test_zero_prior_sentinel_drops_out(self):
+        # a +inf holder with prior 0 gets no mass; with no sentinel holder
+        # left, the finite models normalize as usual
+        models = enumerate_models(BlockPartition.single(2), "all-subsets")
+        log_bfs = np.array([0.0, math.inf, -1.0, math.inf])
+        post = posterior_model_probs(models, log_bfs,
+                                     prior=np.array([1.0, 0.0, 1.0, 0.0]))
+        w = np.exp([0.0, -1.0])
+        np.testing.assert_allclose(post.post_prob,
+                                   [w[0] / w.sum(), 0.0, w[1] / w.sum(), 0.0],
+                                   rtol=1e-15)
+        post = posterior_model_probs(models, log_bfs,
+                                     prior=np.array([1.0, 0.0, 1.0, 1.0]))
+        np.testing.assert_array_equal(post.post_prob, [0.0, 0.0, 0.0, 1.0])
+
+    def test_prior_without_mass_raises(self):
+        models = enumerate_models(BlockPartition.single(2), "all-subsets")
+        with pytest.raises(DomainError):
+            posterior_model_probs(models, np.zeros(4), prior=np.zeros(4))
+
+    def test_prior_with_nan_raises(self):
+        models = enumerate_models(BlockPartition.single(2), "all-subsets")
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                posterior_model_probs(models, np.zeros(4),
+                                      prior=np.array([1.0, bad, 1.0, 1.0]))
 
     def test_custom_prior(self):
         part = BlockPartition.single(1)
@@ -116,6 +141,8 @@ class TestPosteriorProbs:
             posterior_model_probs(models, np.array([0.0]))
         with pytest.raises(DomainError):
             posterior_model_probs(models, np.array([0.0, math.nan]))
+        with pytest.raises(DomainError):
+            posterior_model_probs(models, np.array([-math.inf, -math.inf]))
         with pytest.raises(DomainError):
             posterior_model_probs(models, np.array([0.0, 0.0]),
                                   prior="beta-binomial")
@@ -163,22 +190,22 @@ class TestEvaluateSpace:
     def test_truth_recovery_block_subsets(self):
         d = _design(n=400, beta=(1.0, -0.8, 0.0, 0.0), seed=5)
         post, means, methods = evaluate_model_space(d, "block-subsets")
-        assert len(post.models) == 4 and means.shape == (4, 4)
+        assert post.gammas.shape == (4, 4) and means.shape == (4, 4)
         assert len(methods) == 4 and methods[0] == "closed-form"
         # the signal block must be in the selected model; evidence against
         # an extra pure-noise block is bounded, so do not demand exclusion
-        assert post.top_model().gamma[:2] == (1, 1)
+        assert post.top_model()[:2].tolist() == [1, 1]
         mass_with_signal = sum(
-            float(post.post_prob[i]) for i, m in enumerate(post.models)
-            if m.gamma[:2] == (1, 1))
+            float(post.post_prob[i]) for i, m in enumerate(post.gammas)
+            if m[:2].tolist() == [1, 1])
         assert mass_with_signal > 0.999
         assert float(post.post_prob.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_truth_recovery_all_subsets(self):
         d = _design(n=400, beta=(1.0, -0.8, 0.0, 0.0), seed=6)
         post, means, methods = evaluate_model_space(d, "all-subsets")
-        assert len(post.models) == 16
-        assert post.top_model().gamma[:2] == (1, 1)
+        assert post.gammas.shape == (16, 4)
+        assert post.top_model()[:2].tolist() == [1, 1]
 
     def test_rtol_and_seed_passthrough(self):
         d = _design(seed=7)
@@ -206,12 +233,13 @@ class TestAllSubsetsTriangle:
             beta[0] = 1.0
             y = X @ beta + (1e-6 if seed % 2 else 1.0) * rng.normal(size=n)
             d = center_design(X, y, BlockPartition.single(p))
-            want = [model_inference(d, m, "all-subsets")
-                    for m in enumerate_models(d.partition, "all-subsets")]
+            want = [model_inference(d, ModelSpec.from_gamma(g, d.partition),
+                                    "all-subsets")
+                    for g in enumerate_models(d.partition, "all-subsets")]
             with monkeypatch.context() as patch:
                 patch.setattr(design, "fit_least_squares", refuse)
                 post, means, methods = evaluate_model_space(d, "all-subsets")
-            assert methods == ["closed-form"] * len(want)
+            assert methods == [meth for _, _, meth in want]
             # a coefficient error counts by the fit it moves: |x_j| |d b_j|
             col = np.linalg.norm(d.X, axis=0)
             for i, (log_bf, mean, _) in enumerate(want):
@@ -244,22 +272,25 @@ class TestAllSubsetsTriangle:
         X = rng.normal(size=(n, p))
         y = X[:, 0] + 1e-6 * rng.normal(size=n)
         d = center_design(X, y, BlockPartition.single(p))
+        want = [model_inference(d, ModelSpec.from_gamma(g, d.partition),
+                                "all-subsets", a)[2]
+                for g in enumerate_models(d.partition, "all-subsets")]
         calls = []
-        scores = hyperg.hyper_g_scores
+        scores = hyperg._routed_scores
 
         def spy(*args):
             out = scores(*args)
             calls.append((args, out))
             return out
 
-        monkeypatch.setattr(hyperg, "hyper_g_scores", spy)
-        post, means, _ = evaluate_model_space(d, "all-subsets", a=a)
+        monkeypatch.setattr(hyperg, "_routed_scores", spy)
+        post, means, methods = evaluate_model_space(d, "all-subsets", a=a)
         assert [len(args[2]) for args, _ in calls] == [256, 256, 256, 255]
         assert all(args[:2] == (a, n) for args, _ in calls)
         got_p, r2, omr2 = (np.concatenate([args[j] for args, _ in calls])
                            for j in (2, 3, 4))
-        log_bf, shrink = (np.concatenate([out[j] for _, out in calls])
-                          for j in (0, 1))
+        log_bf, shrink, band = (np.concatenate([out[j] for _, out in calls])
+                                for j in (0, 1, 2))
         assert set(got_p) == set(range(1, p + 1))
         closed = (omr2 <= 0.5) & (n > got_p + a + 1)
         series = omr2 > 0.5
@@ -267,6 +298,13 @@ class TestAllSubsetsTriangle:
         assert (~closed & ~series).sum() > 20
         assert omr2.min() < 1e-11
         np.testing.assert_array_equal(post.log_bf_null[1:], log_bf)
+        # the k = 1 integral's models, and only they, say so, as each does
+        # fitted alone
+        assert methods == want
+        assert band.sum() > 20 and not (band & (closed | series)).any()
+        np.testing.assert_array_equal(
+            np.array(methods[1:]) == "k1-integral", band)
+        assert methods[0] == "closed-form"
         for i in range(len(log_bf)):
             args = (a, n, int(got_p[i]), r2[i], omr2[i])
             assert log_bf[i] == pytest.approx(
@@ -337,8 +375,9 @@ class TestBlockSubsetsTriangle:
         designs = list(_block_designs())
         assert design.check_block_orthogonality(designs[-1])
         for d in designs:
-            want = [model_inference(d, m, "block-subsets")
-                    for m in enumerate_models(d.partition, "block-subsets")]
+            want = [model_inference(d, ModelSpec.from_gamma(g, d.partition),
+                                    "block-subsets")
+                    for g in enumerate_models(d.partition, "block-subsets")]
             with monkeypatch.context() as patch:
                 patch.setattr(design, "fit_least_squares", refuse)
                 patch.setattr(design, "block_orthogonalize", refuse)
@@ -391,10 +430,12 @@ class TestBlockSubsetsTriangle:
         Z = rng.normal(size=(60, 3))
         good = center_design(Z, Z @ np.array([1.0, 0.5, 0.2])
                              + rng.normal(size=60), d.partition)
-        specs = enumerate_models(d.partition, "block-subsets")
+        gammas = enumerate_models(d.partition, "block-subsets")
         with pytest.raises(RankDeficient) as batch:
-            block_subsets_scores([good, d], specs)
+            block_subsets_scores([good, d], gammas, d.partition)
         assert str(batch.value) == str(alone.value)
+        with pytest.raises(DimensionMismatch):
+            block_subsets_scores([good], gammas[:, 1:], d.partition)
 
     def test_no_fit_summary_or_prior_per_model(self, monkeypatch):
         # a search over 4 designs and a prediction experiment score their
@@ -411,28 +452,56 @@ class TestBlockSubsetsTriangle:
             monkeypatch.setattr(cls, "__init__", counting)
         real, calls = models.block_subsets_scores, []
 
-        def keep(designs, specs, a=3.0, *, rtol=1e-7):
+        def keep(designs, gammas, partition, a=3.0, *, rtol=1e-7):
             designs = list(designs)
-            out = real(designs, specs, a, rtol=rtol)
-            calls.append((designs, specs, a, rtol, out))
+            out = real(designs, gammas, partition, a, rtol=rtol)
+            calls.append((designs, gammas, partition, a, rtol, out))
             return out
         monkeypatch.setattr(models, "block_subsets_scores", keep)
         designs = [_design(n=n, sizes=(2, 1, 2),
                            beta=(1.0, -0.8, 0.5, 0.0, 0.3), seed=seed)
                    for seed, n in enumerate((12, 40, 100, 400))]
-        keep(designs, enumerate_models(designs[0].partition,
-                                       "block-subsets"))
+        part = designs[0].partition
+        keep(designs, enumerate_models(part, "block-subsets"), part)
         experiments.run_prediction_consistency(n_schedule=(100, 400),
                                                replicates=2)
         assert built == {"FitSummary": 0, "BlockHyperGPrior": 0}
         assert [len(c[0]) for c in calls] == [4, 4]
-        for designs, specs, a, rtol, out in calls:
+        for designs, gammas, part, a, rtol, out in calls:
             for d, (log_bfs, means, methods) in zip(designs, out):
-                (one_bfs, one_means, one_methods), = real([d], specs, a,
-                                                          rtol=rtol)
+                (one_bfs, one_means, one_methods), = real([d], gammas, part,
+                                                          a, rtol=rtol)
                 assert methods == one_methods
                 np.testing.assert_array_equal(log_bfs, one_bfs)
                 np.testing.assert_array_equal(means, one_means)
+
+    def test_no_model_spec_per_model(self, monkeypatch):
+        # searches and experiments carry their models as the rows of one
+        # inclusion matrix: none of them builds a ModelSpec
+        from blockhyperg import experiments
+        built = []
+
+        def counting(self, *args, _real=ModelSpec.__init__, **kwargs):
+            built.append(args)
+            _real(self, *args, **kwargs)
+        monkeypatch.setattr(ModelSpec, "__init__", counting)
+        d = _design(n=100, sizes=(2, 1, 2), beta=(1.0, -0.8, 0.5, 0.0, 0.3),
+                    seed=1)
+        for mode in ("all-subsets", "block-subsets"):
+            evaluate_model_space(d, mode)
+        designs = [_design(n=n, sizes=(2, 1, 2),
+                           beta=(1.0, -0.8, 0.5, 0.0, 0.3), seed=seed)
+                   for seed, n in enumerate((12, 40, 100))]
+        block_subsets_scores(designs, enumerate_models(d.partition,
+                                                       "block-subsets"),
+                             d.partition)
+        kw = dict(n_schedule=(100, 400), replicates=2)
+        experiments.run_selection_consistency(**kw)
+        experiments.run_prediction_consistency(**kw)
+        assert built == []
+        # the counter sees the one-model view
+        ModelSpec.from_gamma([1, 0, 1, 0, 1], d.partition)
+        assert len(built) == 1
 
     def test_search_shares_its_integrand_calls(self, monkeypatch):
         # seven models of one to three blocks: one bracket scan and one
@@ -451,9 +520,10 @@ class TestBlockSubsetsTriangle:
         assert methods.count("gamma1d") == 7
         assert len(calls) == 2
         monkeypatch.setattr(integrate, "log_inc_gamma_ratio_pair", real)
-        for i, spec in enumerate(post.models):
-            log_bf, _, _ = model_inference(d, spec, "block-subsets",
-                                           rtol=1e-4)
+        for i, g in enumerate(post.gammas):
+            log_bf, _, _ = model_inference(
+                d, ModelSpec.from_gamma(g, d.partition), "block-subsets",
+                rtol=1e-4)
             assert post.log_bf_null[i] == pytest.approx(log_bf, rel=1e-12,
                                                         abs=1e-12)
 
@@ -468,7 +538,7 @@ class TestBmaPredict:
         xc = x_star - d.x_means
         want = d.y_mean + sum(
             post.post_prob[i] * float(means[i] @ xc)
-            for i in range(len(post.models)))
+            for i in range(len(post.gammas)))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_prediction_close_to_truth_strong_signal(self):
